@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -31,6 +32,10 @@ from .scan import InternalInconsistency
 from .splitting import SplitClass, classify_prime, prime_above
 
 LEDGER_KINDS = ("t-perfect", "n-powerful", "mersenne")
+
+# Text argparse takes as a value rather than an unknown option: what a
+# negative number or an element with a leading minus sign starts with.
+_MINUS_VALUE = re.compile(r"^-[\d.si]")
 
 
 def append_ledger(path: str, *, d: int, kind: str, n: int, t: int, z: QuadInt) -> None:
@@ -199,6 +204,11 @@ def cmd_search(args) -> int:
         )
         kind = "n-powerful"
     _print_report(report, args.json)
+    if report.cross_checked is False:
+        print(
+            "error: the integer reduction and the direct scan disagree", file=sys.stderr
+        )
+        return 1
     _ledger_hits(args, report, kind)
     return 0
 
@@ -289,6 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def with_d(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, required=True, help="ring: one of -1,-2,-3,-7,-11,-19,-43,-67,-163")
+        # Element text such as -3s reaches the positional, not the option parser.
+        p._negative_number_matcher = _MINUS_VALUE
         return p
 
     p = with_d(sub.add_parser("classify", help="inert/ramified/split behavior of a prime"))

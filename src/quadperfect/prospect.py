@@ -109,6 +109,9 @@ def parse_checkpoint_line(line: str) -> dict:
     for chunk in line.strip().split():
         key, _, value = chunk.partition("=")
         fields[key] = value
+    missing = [k for k in ("d", "n", "t", "norm_lo", "norm_hi", "hits") if k not in fields]
+    if missing:
+        raise ValueError(f"checkpoint line lacks {', '.join(missing)}")
     out = {k: int(fields[k]) for k in ("d", "n", "t", "norm_lo", "norm_hi")}
     out["hits"] = [parse_element(out["d"], s) for s in fields["hits"].split(";") if s]
     return out
@@ -119,18 +122,29 @@ def _load_checkpoint(path: str, d: int, n: int, t: int, bound: int):
     hits: list[QuadInt] = []
     if not os.path.exists(path):
         return done, hits
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    complete = data.rfind(b"\n") + 1
+    if complete < len(data):
+        # A crash mid-append left an unterminated last line: drop it, so its
+        # shard is rescanned and the next record starts on a line of its own.
+        with open(path, "r+b") as fh:
+            fh.truncate(complete)
+    for lineno, raw in enumerate(data[:complete].splitlines(), 1):
+        try:
+            line = raw.decode("utf-8")
             if not line.strip():
                 continue
             rec = parse_checkpoint_line(line)
-            if (rec["d"], rec["n"], rec["t"]) != (d, n, t):
-                continue
-            lo, hi = rec["norm_lo"], rec["norm_hi"]
-            if lo < 1 or hi > bound + 1 or lo >= hi:
-                continue
-            done.append((lo, hi))
-            hits.extend(rec["hits"])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed checkpoint line: {exc}") from None
+        if (rec["d"], rec["n"], rec["t"]) != (d, n, t):
+            continue
+        lo, hi = rec["norm_lo"], rec["norm_hi"]
+        if lo < 1 or hi > bound + 1 or lo >= hi:
+            continue
+        done.append((lo, hi))
+        hits.extend(rec["hits"])
     return done, hits
 
 
@@ -192,7 +206,7 @@ def direct_scan(
     shards = _shards(_gaps(bound, done), width)
 
     raw: list[tuple[int, int, int]] = []
-    tasks = [(d, n, lo, hi, None) for lo, hi in shards]
+    tasks = [(d, n, lo, hi) for lo, hi in shards]
 
     def consume(lo: int, hi: int, shard_hits: list[tuple[int, int, int]]) -> None:
         raw.extend(shard_hits)

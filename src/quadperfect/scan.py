@@ -3,24 +3,42 @@
 A shard covers a norm interval [lo, hi).  Candidate coordinates come from the
 box |x| <= 2*sqrt(hi), |y| <= 2*sqrt(hi/|d|) filtered by the sector rules, so
 each canonical element in the interval is produced exactly once.  The interval
-is factored wholesale with a segmented sieve, and each distinct norm is boiled
-down to a recipe: a rational divisor-chain factor, plus one (A + B*sqrt(p))
-factor per prime whose elements sit above p with absolute value sqrt(p).  The
-recipe decides, exactly and per element, whether the n-index is an integer.
+is factored wholesale with a segmented sieve, and every distinct norm N is
+decided in plain integers.
+
+The index is I_n(z) = prod over pi**a exactly dividing z of
+sum(|pi|**(-j*n), j = 0..a); write geom(q, k) = 1 + q + ... + q**k.
+
+Odd n: over a split or ramified p, |pi| = sqrt(p) and the chains of the
+primes above p multiply to A + B*sqrt(p) with A, B > 0.  In the product, the
+coefficient of the square root of all such primes together is a product of
+positive B's that nothing cancels, as square roots of distinct squarefree
+integers are linearly independent: the norm holds no integer index.
+Otherwise every prime is inert, N is a perfect square and
+I_n = prod geom(p**n, e/2) / sqrt(N)**n.
+
+Even n: every |pi|**n is an integer, and so is each chain of delta_n.  With
+q = p**(n/2), an inert p gives geom(p**n, e/2), a ramified p geom(q, e) and a
+split p geom(q, a) * geom(q, e - a), where a is the smaller exponent on the
+two primes above p; I_n is the product over N**(n/2).  A split p with e >= 2
+thus offers one factor per a.  Every choice is tried, and elements are
+resolved one by one only at norms where some choice gives an integer t >= 2.
+Each hit is certified by abundancy.index_n before it leaves the shard.
 
 Two audits run inside every shard: an inert prime must never carry an odd
 norm exponent, and the number of enumerated elements per norm must equal the
-product of (split exponent + 1).  Either failure aborts the scan.
+product of (split exponent + 1).  Either failure, or a hit that certification
+rejects, aborts the scan.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
 from itertools import product as iproduct
 
 import numpy as np
 
+from .abundancy import index_n
 from .ring import QuadInt, ring, try_div
 from .splitting import SplitClass, _classify, prime_above, primes_up_to
 
@@ -29,60 +47,29 @@ class InternalInconsistency(RuntimeError):
     """An exact invariant failed; the scan (or a theorem check) found a bug."""
 
 
-@cache
-def _chain(p: int, k: int, n: int) -> tuple[int, int]:
-    """Sum of sqrt(p)**(j*n) for j = 0..k, returned as A + B*sqrt(p)."""
-    A = B = 0
-    for j in range(k + 1):
-        m = j * n
-        if m & 1:
-            B += p ** ((m - 1) >> 1)
-        else:
-            A += p ** (m >> 1)
-    return A, B
+def _geom(q: int, k: int) -> int:
+    """1 + q + ... + q**k."""
+    return (q ** (k + 1) - 1) // (q - 1)
 
 
-@cache
-def _chain_rat(q: int, k: int, n: int) -> int:
-    return sum(q ** (j * n) for j in range(k + 1))
+def _prime_entry(d: int, p: int, e: int, n: int):
+    """(element-count multiplier, chain factors) for prime p at norm exponent e.
 
-
-@cache
-def _split_pair(p: int, a: int, b: int, n: int) -> tuple[int, int]:
-    """Chain product for exponents (a, b) on the two primes above a split p."""
-    A1, B1 = _chain(p, a, n)
-    A2, B2 = _chain(p, b, n)
-    return A1 * A2 + p * B1 * B2, A1 * B2 + A2 * B1
-
-
-def _build_contrib(d: int, p: int, e: int, n: int):
-    """Recipe entry for prime p with norm exponent e.
-
-    Returns (kind, payload, odd_e, p**(e//2), count_multiplier):
-    kind 0 is a plain rational multiplier, kind 1 a single surd factor
-    (A, B) on radical p, kind 2 a list of per-min-exponent alternatives for a
-    split prime with e >= 2 (those need per-element resolution).
+    The factors are the possible values of p's divisor chain in delta_n, one
+    per profile a = 0..e//2 for a split prime; None means the chain is
+    irrational.  An inert p with odd e has no elements and returns None.
     """
     # p comes from the sieve, so skip the primality validation layer.
     cls = _classify(d, p)
-    odd = e & 1
-    sq = p ** (e >> 1)
     if cls is SplitClass.INERT:
-        if odd:
-            return (-1, None, odd, sq, 1)
-        return (0, _chain_rat(p, e >> 1, n), odd, sq, 1)
+        return None if e & 1 else (1, (_geom(p**n, e >> 1),))
+    mult = 1 if cls is SplitClass.RAMIFIED else e + 1
+    if n & 1:
+        return mult, None
+    q = p ** (n >> 1)
     if cls is SplitClass.RAMIFIED:
-        A, B = _chain(p, e, n)
-        if B == 0:
-            return (0, A, odd, sq, 1)
-        return (1, (A, B, p), odd, sq, 1)
-    if e == 1:
-        A, B = _split_pair(p, 0, 1, n)
-        if B == 0:
-            return (0, A, odd, sq, 2)
-        return (1, (A, B, p), odd, sq, 2)
-    alts = [_split_pair(p, m, e - m, n) for m in range(e // 2 + 1)]
-    return (2, (alts, p, e), odd, sq, e + 1)
+        return mult, (_geom(q, e),)
+    return mult, tuple(_geom(q, a) * _geom(q, e - a) for a in range(e // 2 + 1))
 
 
 def _coords(d: int, lo: int, hi: int):
@@ -215,16 +202,14 @@ def _min_split_exp(z: QuadInt, pi: QuadInt, e: int) -> int:
     return min(k, e - k)
 
 
-def scan_shard(
-    d: int, n: int, lo: int, hi: int, t_filter: frozenset[int] | None = None
-) -> list[tuple[int, int, int]]:
+def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
     """Elements with norm in [lo, hi) whose n-index is an integer t >= 2.
 
     Returns (x, y, t) triples in doubled coordinates, ordered by norm.
-    t_filter, when given, restricts which integer values are reported.
     """
     if n < 1:
         raise ValueError("scan expects a positive power n")
+    ctx = ring(d)
     xs, ys, ns = _coords(d, lo, hi)
     if ns.size == 0:
         return []
@@ -238,114 +223,79 @@ def scan_shard(
 
     uniq_l = uniq.tolist()
     counts_l = counts.tolist()
-    n_odd = n & 1
-    half_pow = (n - 1) // 2 if n_odd else n // 2
-    contribs: dict[int, tuple] = {}
+    entries: dict[int, tuple] = {}
     hits: list[tuple[int, int, int]] = []
 
     for i, N in enumerate(uniq_l):
         ps = FP[i]
         es = FE[i]
-        rational = 1
-        r0 = 1
-        s_part = 1
         count_pred = 1
-        dims: list = []
-        dim_meta: list = []
+        rational = True
+        value = 1
+        choices: list[tuple[int, int, tuple[int, ...]]] = []
         for j in range(FC[i]):
             p = ps[j]
             e = es[j]
             key = (p << 8) | e
-            c = contribs.get(key)
+            c = entries.get(key)
             if c is None:
-                c = _build_contrib(d, p, e, n)
-                contribs[key] = c
-            kind, payload, odd, sq, cmult = c
-            if kind < 0:
-                raise InternalInconsistency(
-                    f"inert prime {p} with odd exponent {e} in norm {N} (d={d})"
-                )
-            if odd:
-                r0 *= p
-            s_part *= sq
-            count_pred *= cmult
-            if kind == 0:
-                rational *= payload
+                c = _prime_entry(d, p, e, n)
+                if c is None:
+                    raise InternalInconsistency(
+                        f"inert prime {p} with odd exponent {e} in norm {N} (d={d})"
+                    )
+                entries[key] = c
+            mult, factors = c
+            count_pred *= mult
+            if factors is None:
+                rational = False
+            elif len(factors) == 1:
+                value *= factors[0]
             else:
-                dims.append(payload)
-                dim_meta.append(kind)
+                choices.append((p, e, factors))
         if count_pred != counts_l[i]:
             raise InternalInconsistency(
                 f"norm {N} (d={d}): {counts_l[i]} elements enumerated, {count_pred} predicted"
             )
-        target_r = r0 if n_odd else 1
-        denom = (s_part if n_odd else 1) * N**half_pow
-
-        if not dims:
-            t, rem = divmod(rational, denom)
-            if rem == 0 and t >= 2 and (t_filter is None or t in t_filter):
-                sel = np.nonzero(ns == N)[0]
-                for k in sel.tolist():
-                    hits.append((int(xs[k]), int(ys[k]), t))
+        if not rational:
             continue
+        # Only inert primes remain for odd n, so N is a perfect square.
+        denom = math.isqrt(N) ** n if n & 1 else N ** (n >> 1)
 
-        # Expand the alternative sets (only split primes with e >= 2 have more
-        # than one) and test each combination's surd expansion.
-        alt_lists = []
-        for payload, kind in zip(dims, dim_meta):
-            if kind == 1:
-                alt_lists.append([payload])
-            else:
-                alts, p, e = payload
-                alt_lists.append([(A, B, p, m) for m, (A, B) in enumerate(alts)])
-        matched: list[tuple] = []
-        for combo in iproduct(*alt_lists):
-            terms = {1: rational}
-            for entry in combo:
-                A, B, p = entry[0], entry[1], entry[2]
-                new: dict[int, int] = {}
-                for rad, cc in terms.items():
-                    if A:
-                        new[rad] = cc * A
-                    if B:
-                        new[rad * p] = cc * B
-                terms = new
-            if len(terms) != 1:
-                continue
-            ((rad, cval),) = terms.items()
-            if rad != target_r:
-                continue
-            t, rem = divmod(cval, denom)
-            if rem == 0 and t >= 2 and (t_filter is None or t in t_filter):
-                matched.append((combo, t))
+        # Exponent profile -> t, over every choice of profile per split prime
+        # with e >= 2 (a single empty profile when there are none).
+        matched: dict[tuple[int, ...], int] = {}
+        for profile in iproduct(*(range(len(f)) for _, _, f in choices)):
+            v = value
+            for (_, _, f), a in zip(choices, profile):
+                v *= f[a]
+            t, rem = divmod(v, denom)
+            if rem == 0 and t >= 2:
+                matched[profile] = t
         if not matched:
             continue
 
-        # Rare path: pin down which elements of this norm realize a matching
-        # exponent profile (nothing to resolve unless some alternative set had
-        # a real choice).
-        sel = np.nonzero(ns == N)[0]
-        resolver = [
-            (k, payload[1], payload[2])
-            for k, (payload, kind) in enumerate(zip(dims, dim_meta))
-            if kind == 2
-        ]
-        pis = {p: prime_above(ring(d), p) for _, p, _ in resolver}
-        for k in sel.tolist():
+        # Rare path: find the elements of this norm that realize a matching
+        # profile, and certify each through the exact index.
+        pis = [prime_above(ctx, p) for p, _, _ in choices]
+        for k in np.nonzero(ns == N)[0].tolist():
             z = QuadInt._raw(d, int(xs[k]), int(ys[k]))
-            profile = {p: _min_split_exp(z, pis[p], e) for _, p, e in resolver}
-            for combo, t in matched:
-                ok = all(
-                    combo[dim_idx][3] == profile[p] for dim_idx, p, _ in resolver
+            profile = tuple(
+                _min_split_exp(z, pi, e) for pi, (_, e, _) in zip(pis, choices)
+            )
+            t = matched.get(profile)
+            if t is None:
+                continue
+            exact = index_n(ctx, z, n).value
+            if exact != t:
+                raise InternalInconsistency(
+                    f"scan reported I_{n}({z}) = {t} (d={d}), exact index is {exact}"
                 )
-                if ok:
-                    hits.append((z.x, z.y, t))
-                    break
+            hits.append((z.x, z.y, t))
     return hits
 
 
 def scan_shard_task(args) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """Pool-friendly wrapper: args = (d, n, lo, hi, t_list or None)."""
-    d, n, lo, hi, t_list = args
-    tf = frozenset(t_list) if t_list is not None else None
-    return lo, hi, scan_shard(d, n, lo, hi, t_filter=tf)
+    """Pool-friendly wrapper: args = (d, n, lo, hi)."""
+    d, n, lo, hi = args
+    return lo, hi, scan_shard(d, n, lo, hi)

@@ -102,9 +102,36 @@ def _brent_rho(n: int) -> int:
             return g
 
 
+def _iroot(m: int, k: int) -> int:
+    """The largest r with r**k <= m, by integer Newton steps from above."""
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _perfect_root(m: int) -> tuple[int, int] | None:
+    """(r, k) with r**k == m for a prime k, when m has every prime factor above 10**6.
+
+    Such an m can only be a k-th power for k <= log(m) / log(10**6), which
+    bit_length // 19 bounds from above.
+    """
+    for k in primes_up_to(m.bit_length() // 19):
+        r = _iroot(m, k)
+        if r**k == m:
+            return r, k
+    return None
+
+
 @lru_cache(maxsize=1 << 16)
 def factor_integer(n: int) -> IntegerFactorization:
-    """Factor n >= 1: trial division through 10**6, then Brent rho on survivors."""
+    """Factor n >= 1: trial division through 10**6, then Brent rho on survivors.
+
+    A survivor that is a perfect power is replaced by its root first: rho
+    cannot split p**k for a prime p this large in feasible time.
+    """
     if n < 1:
         raise ValueError("factor_integer wants a positive integer")
     found: dict[int, int] = {}
@@ -124,18 +151,21 @@ def factor_integer(n: int) -> IntegerFactorization:
                 rem = 1
                 break
     if rem > 1:
-        stack = [rem]
+        stack = [(rem, 1)]  # (cofactor, multiplicity)
         while stack:
-            m = stack.pop()
+            m, mult = stack.pop()
             if is_probable_prime(m):
-                found[m] = found.get(m, 0) + 1
+                found[m] = found.get(m, 0) + mult
+                continue
+            root = _perfect_root(m)
+            if root is not None:
+                stack.append((root[0], mult * root[1]))
                 continue
             f = _brent_rho(m)
-            stack += [f, m // f]
+            stack += [(f, mult), (m // f, mult)]
     return IntegerFactorization(n, tuple(sorted(found.items())))
 
 
-@lru_cache(maxsize=None)
 def _classify(d: int, p: int) -> SplitClass:
     if p == 2:
         if d in (-1, -2):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from quadperfect import QuadInt, parse_element
+from quadperfect import QuadInt, parse_element, prospect
 from quadperfect.cli import append_ledger, main, read_ledger
 
 from conftest import make_rng, random_element
@@ -50,6 +50,27 @@ class TestExitCodes:
         proc = run_cli("search", "--d", "-1", "--n", "3", "--t", "2", "--bound", "500")
         assert proc.returncode == 0
         assert "hits=0" in proc.stdout
+
+    def test_leading_minus_element(self):
+        for text in ("-90881+6362s", "-3s", "-s"):
+            proc = run_cli("factor", "--d", "-43", text)
+            assert proc.returncode == 0, text
+            proc = run_cli("divisors", "--d", "-43", text)
+            assert proc.returncode == 0, text
+            proc = run_cli("index", "--d", "-43", text, "--n", "2")
+            assert proc.returncode == 0, text
+        assert run_cli("factor", "--d", "-43", "-3x").returncode == 2
+        assert run_cli("factor", "--d", "-43", "-i").returncode == 2
+
+    def test_malformed_checkpoint_is_two(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_text("d=-1 n=2 t=2 norm_lo=50 norm_h\n")
+        proc = run_cli(
+            "search", "--d", "-1", "--n", "2", "--t", "2", "--bound", "90",
+            "--checkpoint", str(path),
+        )
+        assert proc.returncode == 2
+        assert f"{path}:1" in proc.stderr
 
     def test_ledger_io_failure_is_three(self, tmp_path):
         missing_dir = tmp_path / "nope" / "ledger.txt"
@@ -171,6 +192,12 @@ class TestMersenneCommand:
         assert "28 (norm 784)" in proc.stdout
         assert "8128" in proc.stdout
 
+    def test_cap_finishes_with_inert_mersenne_squares(self):
+        # Norms carry the squares of inert Mersenne primes up to 2**127 - 1.
+        proc = run_cli("mersenne", "--d", "-19", "--p-max", "127")
+        assert proc.returncode == 0
+        assert "hits=6" in proc.stdout
+
     def test_ledger_kind(self, tmp_path):
         path = tmp_path / "ledger.txt"
         run_cli("mersenne", "--d", "-11", "--p-max", "3", "--ledger", str(path))
@@ -229,6 +256,19 @@ class TestInProcessMain:
     def test_main_returns_exit_code(self):
         assert main(["classify", "--d", "-1", "5"]) == 0
         assert main(["classify", "--d", "-5", "5"]) == 2
+
+    def test_search_mismatch_is_one(self, monkeypatch, capsys, tmp_path):
+        # The direct scan claims an element the integer reduction never finds.
+        monkeypatch.setattr(
+            prospect, "direct_scan", lambda d, *a, **k: [QuadInt(d, 6, 0)]
+        )
+        ledger = tmp_path / "ledger.txt"
+        argv = ["search", "--d", "-11", "--n", "1", "--t", "2", "--bound", "1000"]
+        assert main(argv + ["--ledger", str(ledger)]) == 1
+        out = capsys.readouterr()
+        assert "cross_checked=MISMATCH" in out.out
+        assert "disagree" in out.err
+        assert not ledger.exists()
 
     def test_parse_format_identity_at_scale(self, d):
         rng = make_rng("cliid", d)

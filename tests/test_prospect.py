@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -116,11 +117,11 @@ class TestCheckpoint:
         # Simulate an interrupted run: only the lower half was completed.
         from quadperfect.scan import scan_shard
 
-        partial = scan_shard(-1, 2, 1, 2000, t_filter=frozenset({2}))
+        partial = scan_shard(-1, 2, 1, 2000)
         with open(path, "w") as fh:
             line = format_checkpoint_line(
                 -1, 2, 2, 1, 2000,
-                [QuadInt(-1, x, y, half=True) for x, y, t in partial],
+                [QuadInt(-1, x, y, half=True) for x, y, t in partial if t == 2],
             )
             fh.write(line + "\n")
         resumed = direct_scan(-1, 2, 2, 4000, checkpoint=path)
@@ -130,6 +131,29 @@ class TestCheckpoint:
             lines = [parse_checkpoint_line(l) for l in fh if l.strip()]
         covered = _gaps(4000, [(r["norm_lo"], r["norm_hi"]) for r in lines])
         assert covered == []
+
+    def test_torn_last_line_is_rescanned(self, tmp_path):
+        path = tmp_path / "torn.ckpt"
+        full = direct_scan(-1, 2, 2, 200)
+        path.write_text(
+            format_checkpoint_line(-1, 2, 2, 1, 50, [])
+            + "\nd=-1 n=2 t=2 norm_lo=50 norm_h"
+        )
+        assert direct_scan(-1, 2, 2, 200, checkpoint=str(path)) == full
+        lines = path.read_text().splitlines(keepends=True)
+        assert all(l.endswith("\n") for l in lines)
+        recs = [parse_checkpoint_line(l) for l in lines]
+        assert _gaps(200, [(r["norm_lo"], r["norm_hi"]) for r in recs]) == []
+        assert direct_scan(-1, 2, 2, 200, checkpoint=str(path)) == full
+
+    def test_malformed_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_text(
+            format_checkpoint_line(-1, 2, 2, 1, 50, [])
+            + "\nd=-1 n=2 t=2 norm_lo=50 norm_h\n"
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + ".*norm_hi"):
+            direct_scan(-1, 2, 2, 200, checkpoint=str(path))
 
     def test_checkpoint_written_during_scan(self, tmp_path):
         path = str(tmp_path / "fresh.ckpt")

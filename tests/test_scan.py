@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from quadperfect import QuadInt, in_sector, index_n, ring
+from quadperfect import InternalInconsistency, QuadInt, SplitClass, in_sector, index_n, ring
+from quadperfect import scan
+from quadperfect.abundancy import Index
 from quadperfect.scan import _coords, _factor_segment, scan_shard
 
 from conftest import make_rng
-from oracles import canonical_elements_up_to
+from oracles import canonical_elements_up_to, elements_with_norm
 
 SMALL_BOUND = 400
 
@@ -54,19 +56,25 @@ class TestFactorSegment:
 
 class TestScanShard:
     def test_matches_definition(self, d):
-        """Engine hits equal a per-element exact index computation."""
+        """Engine hits equal a per-element exact index computation.
+
+        The second window holds many norms with a squared split prime, where
+        even n weighs every exponent profile; d=-7, n=2 below 400 resolves
+        profiles element by element.
+        """
         ctx = ring(d)
-        elements = canonical_elements_up_to(d, SMALL_BOUND)
-        for n in (1, 2, 3, 4):
-            expected = []
-            for z in elements:
-                v = index_n(ctx, z, n).value
-                if v.is_rational():
-                    fr = v.as_fraction()
-                    if fr.denominator == 1 and fr >= 2:
-                        expected.append((z.x, z.y, int(fr)))
-            got = scan_shard(d, n, 1, SMALL_BOUND + 1)
-            assert sorted(got) == sorted(expected), f"n={n}"
+        for lo, hi in ((1, SMALL_BOUND + 1), (4000, 6000)):
+            elements = [z for m in range(lo, hi) for z in elements_with_norm(d, m)]
+            for n in (1, 2, 3, 4, 5):
+                expected = []
+                for z in elements:
+                    v = index_n(ctx, z, n).value
+                    if v.is_rational():
+                        fr = v.as_fraction()
+                        if fr.denominator == 1 and fr >= 2:
+                            expected.append((z.x, z.y, int(fr)))
+                got = scan_shard(d, n, lo, hi)
+                assert sorted(got) == sorted(expected), f"[{lo}, {hi}) n={n}"
 
     def test_shard_splitting_invariance(self, d):
         rng = make_rng("shardsplit", d)
@@ -76,12 +84,6 @@ class TestScanShard:
             scan_shard(d, 2, 1, cut) + scan_shard(d, 2, cut, SMALL_BOUND + 1)
         )
         assert parts == whole
-
-    def test_t_filter(self):
-        all_hits = scan_shard(-1, 2, 1, 91)
-        only_two = scan_shard(-1, 2, 1, 91, t_filter=frozenset({2}))
-        assert only_two == [h for h in all_hits if h[2] == 2]
-        assert scan_shard(-1, 2, 1, 91, t_filter=frozenset({9})) == []
 
     def test_known_hit(self):
         hits = scan_shard(-1, 2, 1, 91)
@@ -103,3 +105,33 @@ class TestScanShard:
             z = QuadInt(-1, x, y, half=True)
             v = index_n(ctx, z, 2).value
             assert v == t
+
+
+class TestScanChecks:
+    """Each exact check inside a shard aborts the scan when it fails."""
+
+    def test_hit_failing_certification_raises(self, monkeypatch):
+        def wrong(ctx, z, n):
+            return Index(value=index_n(ctx, z, n).value + 1, n=n, z_norm=z.norm())
+
+        monkeypatch.setattr(scan, "index_n", wrong)
+        with pytest.raises(InternalInconsistency, match="exact index"):
+            scan_shard(-1, 2, 1, 91)
+
+    def test_inert_prime_with_odd_exponent_raises(self, monkeypatch):
+        # 5 splits in the Gaussian ring; calling it inert makes norm 5 impossible.
+        real = scan._classify
+        monkeypatch.setattr(
+            scan, "_classify", lambda d, p: SplitClass.INERT if p == 5 else real(d, p)
+        )
+        with pytest.raises(InternalInconsistency, match="odd exponent"):
+            scan_shard(-1, 1, 1, 10)
+
+    def test_element_count_mismatch_raises(self, monkeypatch):
+        # 3 is inert in the Gaussian ring: norm 9 has one element, not three.
+        real = scan._classify
+        monkeypatch.setattr(
+            scan, "_classify", lambda d, p: SplitClass.SPLIT if p == 3 else real(d, p)
+        )
+        with pytest.raises(InternalInconsistency, match="predicted"):
+            scan_shard(-1, 2, 1, 10)

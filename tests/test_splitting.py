@@ -150,6 +150,17 @@ class TestFactorInteger:
         p, q = 1_000_003, 1_000_033
         assert factor_integer(p * q).factors == ((p, 1), (q, 1))
 
+    def test_powers_of_large_primes(self):
+        # Rho cannot split a power of a prime this large; roots are taken first.
+        m61, m89, m31 = 2**61 - 1, 2**89 - 1, 2**31 - 1
+        assert factor_integer(m61**2).factors == ((m61, 2),)
+        assert factor_integer(m89**3 * m31).factors == ((m31, 1), (m89, 3))
+        assert factor_integer(m31**6).factors == ((m31, 6),)
+        assert factor_integer(1_000_003**2 * 1_000_033).factors == (
+            (1_000_003, 2),
+            (1_000_033, 1),
+        )
+
 
 class TestMillerRabin:
     def test_known_values(self):
