@@ -23,6 +23,7 @@ from .prospect import (
     congruence_identities,
     inert_residues,
     mersenne_perfects,
+    read_records,
     search_powerfully,
     search_t_perfect,
     verify_bounds,
@@ -32,6 +33,7 @@ from .scan import InternalInconsistency
 from .splitting import SplitClass, classify_prime, prime_above
 
 LEDGER_KINDS = ("t-perfect", "n-powerful", "mersenne")
+LEDGER_FIELDS = ("ts", "d", "kind", "n", "t", "elem", "norm")
 
 # Text argparse takes as a value rather than an unknown option: what a
 # negative number or an element with a leading minus sign starts with.
@@ -50,17 +52,24 @@ def append_ledger(path: str, *, d: int, kind: str, n: int, t: int, z: QuadInt) -
         fh.write(line)
 
 
+def _parse_ledger_line(line: str) -> dict:
+    chunks = line.strip().split(";")
+    fields = dict(chunk.split("=", 1) for chunk in chunks)
+    # Exactly the seven fields: a record glued onto a torn line repeats keys.
+    if len(fields) != len(chunks) or set(fields) != set(LEDGER_FIELDS):
+        raise ValueError(f"ledger line must hold each of {', '.join(LEDGER_FIELDS)} once")
+    for key in ("ts", "d", "n", "t", "norm"):
+        fields[key] = int(fields[key])
+    return fields
+
+
 def read_ledger(path: str) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            fields = dict(chunk.split("=", 1) for chunk in line.strip().split(";"))
-            for key in ("ts", "d", "n", "t", "norm"):
-                fields[key] = int(fields[key])
-            records.append(fields)
-    return records
+    """Every complete record of the ledger; an unterminated last line is skipped.
+
+    The file is never cut: the last line may be another process's append in
+    progress.
+    """
+    return read_records(path, _parse_ledger_line, "ledger")
 
 
 def _fmt_part(pi: QuadInt, e: int) -> str:

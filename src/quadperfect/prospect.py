@@ -6,9 +6,12 @@ ordinary abundancy is t and whose prime factors are all inert) and, for desk
 bounds, a direct scan of every canonical element.  The two hit sets must
 agree; their agreement is recorded on the report.
 
-Direct scans shard the norm range, run shards across processes (capped by the
-QP_WORKERS environment variable), and can checkpoint completed shards to a
-newline-delimited file so interrupted scans resume.
+A direct scan returns every element of integer n-index t >= 2 with its t,
+and each search keeps its own t.  Scans shard the norm range, run shards
+across processes (capped by the QP_WORKERS environment variable), and can
+checkpoint completed shards, hits of every t included, to a newline-delimited
+file so interrupted scans resume.  The last 32 uncheckpointed results are
+cached: searches for t = 2 and t = 3 at one (d, n, bound) often follow each other.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .abundancy import (
     classical_sigma,
@@ -95,13 +100,14 @@ def _sort_hits(hits) -> tuple[QuadInt, ...]:
 
 # ---------------------------------------------------------------------------
 # Checkpointing: one line per completed shard, "key=value" fields separated by
-# spaces, hits inside a field as semicolon-joined canonical element strings.
+# spaces; the hits field holds every hit of the shard, of every t, as
+# semicolon-joined "element:t" pairs (element text holds no ':', ';' or space).
 # ---------------------------------------------------------------------------
 
 
-def format_checkpoint_line(d: int, n: int, t: int, lo: int, hi: int, hits) -> str:
-    body = ";".join(str(z) for z in hits)
-    return f"d={d} n={n} t={t} norm_lo={lo} norm_hi={hi} hits={body}"
+def format_checkpoint_line(d: int, n: int, lo: int, hi: int, hits) -> str:
+    body = ";".join(f"{z}:{t}" for z, t in hits)
+    return f"d={d} n={n} norm_lo={lo} norm_hi={hi} hits={body}"
 
 
 def parse_checkpoint_line(line: str) -> dict:
@@ -109,42 +115,55 @@ def parse_checkpoint_line(line: str) -> dict:
     for chunk in line.strip().split():
         key, _, value = chunk.partition("=")
         fields[key] = value
-    missing = [k for k in ("d", "n", "t", "norm_lo", "norm_hi", "hits") if k not in fields]
+    if "t" in fields:
+        raise ValueError("t= marks the older format holding one t only: delete the file")
+    missing = [k for k in ("d", "n", "norm_lo", "norm_hi", "hits") if k not in fields]
     if missing:
         raise ValueError(f"checkpoint line lacks {', '.join(missing)}")
-    out = {k: int(fields[k]) for k in ("d", "n", "t", "norm_lo", "norm_hi")}
-    out["hits"] = [parse_element(out["d"], s) for s in fields["hits"].split(";") if s]
+    out = {k: int(fields[k]) for k in ("d", "n", "norm_lo", "norm_hi")}
+    pairs = (hit.split(":") for hit in fields["hits"].split(";") if hit)
+    out["hits"] = [(parse_element(out["d"], z), int(t)) for z, t in pairs]
     return out
 
 
-def _load_checkpoint(path: str, d: int, n: int, t: int, bound: int):
-    done: list[tuple[int, int]] = []
-    hits: list[QuadInt] = []
-    if not os.path.exists(path):
-        return done, hits
+def read_records(path: str, parse, what: str, *, truncate: bool = False) -> list:
+    """parse(line) for every complete nonblank line of the file at path.
+
+    An unterminated last line, cut by a crash or still being appended, is
+    skipped; truncate also cuts it from the file, so the next append starts a
+    line of its own.  A complete line that parse rejects raises ValueError
+    "<path>:<line>: malformed <what> line: ...".
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     complete = data.rfind(b"\n") + 1
-    if complete < len(data):
-        # A crash mid-append left an unterminated last line: drop it, so its
-        # shard is rescanned and the next record starts on a line of its own.
+    if truncate and complete < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(complete)
+    records = []
     for lineno, raw in enumerate(data[:complete].splitlines(), 1):
         try:
             line = raw.decode("utf-8")
-            if not line.strip():
-                continue
-            rec = parse_checkpoint_line(line)
+            if line.strip():
+                records.append(parse(line))
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed checkpoint line: {exc}") from None
-        if (rec["d"], rec["n"], rec["t"]) != (d, n, t):
+            raise ValueError(f"{path}:{lineno}: malformed {what} line: {exc}") from None
+    return records
+
+
+def _load_checkpoint(path: str | None, d: int, n: int, bound: int):
+    done: list[tuple[int, int]] = []
+    hits: dict[QuadInt, int] = {}
+    if path is None or not os.path.exists(path):
+        return done, hits
+    for rec in read_records(path, parse_checkpoint_line, "checkpoint", truncate=True):
+        if (rec["d"], rec["n"]) != (d, n):
             continue
         lo, hi = rec["norm_lo"], rec["norm_hi"]
         if lo < 1 or hi > bound + 1 or lo >= hi:
             continue
         done.append((lo, hi))
-        hits.extend(rec["hits"])
+        hits.update(rec["hits"])
     return done, hits
 
 
@@ -173,66 +192,42 @@ def _shards(ranges: list[tuple[int, int]], width: int) -> list[tuple[int, int]]:
     return out
 
 
-_scan_memo: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
+@lru_cache(maxsize=32)
+def _scan(d: int, n: int, bound: int, nworkers: int, checkpoint: str | None) -> tuple:
+    """Drive the shards of one scan; checkpointed shards are read, new ones appended."""
+    done, found = _load_checkpoint(checkpoint, d, n, bound)
+    width = max(min(bound // max(1, 4 * nworkers) + 1, 1_000_000), 1 << 15)
+    tasks = [(d, n, lo, hi) for lo, hi in _shards(_gaps(bound, done), width)]
+    parallel = nworkers > 1 and len(tasks) > 1
+    with ProcessPoolExecutor(nworkers) if parallel else nullcontext() as pool:
+        for lo, hi, shard_hits in (pool.map if parallel else map)(scan_shard_task, tasks):
+            pairs = [(QuadInt._raw(d, x, y), t) for x, y, t in shard_hits]
+            found.update(pairs)
+            if checkpoint is not None:
+                with open(checkpoint, "a", encoding="utf-8") as fh:
+                    fh.write(format_checkpoint_line(d, n, lo, hi, pairs) + "\n")
+    return tuple((z, found[z]) for z in _sort_hits(found))
 
 
 def direct_scan(
     d: int,
     n: int,
-    t: int,
     bound: int,
     *,
     workers: int | None = None,
     checkpoint: str | None = None,
-) -> list[QuadInt]:
-    """Every canonical element with norm <= bound and n-index exactly t."""
+) -> list[tuple[QuadInt, int]]:
+    """Every canonical element with norm <= bound and integer n-index t >= 2, with t.
+
+    The (element, t) pairs are ordered by (norm, x, y).  Without a checkpoint
+    the result may come from the cache of recent scans; a checkpointed scan
+    always reads and extends its file.
+    """
     ring(d)
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    if t < 2:
-        raise ValueError("t must be an integer >= 2")
-    nworkers = worker_count(workers)
-    memo_key = (d, n, bound)
-    if checkpoint is None and memo_key in _scan_memo:
-        return [
-            QuadInt._raw(d, x, y) for x, y, tt in _scan_memo[memo_key] if tt == t
-        ]
-
-    done: list[tuple[int, int]] = []
-    known: list[QuadInt] = []
-    if checkpoint is not None:
-        done, known = _load_checkpoint(checkpoint, d, n, t, bound)
-    width = max(min(bound // max(1, 4 * nworkers) + 1, 1_000_000), 1 << 15)
-    shards = _shards(_gaps(bound, done), width)
-
-    raw: list[tuple[int, int, int]] = []
-    tasks = [(d, n, lo, hi) for lo, hi in shards]
-
-    def consume(lo: int, hi: int, shard_hits: list[tuple[int, int, int]]) -> None:
-        raw.extend(shard_hits)
-        if checkpoint is not None:
-            line = format_checkpoint_line(
-                d, n, t, lo, hi, [QuadInt._raw(d, x, y) for x, y, tt in shard_hits if tt == t]
-            )
-            with open(checkpoint, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-
-    if nworkers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            for lo, hi, shard_hits in pool.map(scan_shard_task, tasks):
-                consume(lo, hi, shard_hits)
-    else:
-        for task in tasks:
-            lo, hi, shard_hits = scan_shard_task(task)
-            consume(lo, hi, shard_hits)
-
-    if checkpoint is None:
-        if len(_scan_memo) > 32:
-            _scan_memo.clear()
-        _scan_memo[memo_key] = raw
-    hits = {QuadInt._raw(d, x, y) for x, y, tt in raw if tt == t}
-    hits.update(known)
-    return list(_sort_hits(hits))
+    scan = _scan if checkpoint is None else _scan.__wrapped__
+    return list(scan(d, n, bound, worker_count(workers), checkpoint))
 
 
 def search_t_perfect(
@@ -265,10 +260,8 @@ def search_t_perfect(
             hits.append(QuadInt.from_int(ctx.d, r))
     cross = None
     if bound <= CROSS_CHECK_LIMIT:
-        scanned = direct_scan(
-            ctx.d, 1, t, bound, workers=workers, checkpoint=checkpoint
-        )
-        cross = set(scanned) == set(hits)
+        scanned = direct_scan(ctx.d, 1, bound, workers=workers, checkpoint=checkpoint)
+        cross = {z for z, tt in scanned if tt == t} == set(hits)
     return SearchReport(
         d=ctx.d,
         n=1,
@@ -291,24 +284,26 @@ def search_powerfully(
 ) -> SearchReport:
     """Direct scan for elements with n-index exactly t.
 
-    For n >= 3 a nonempty result contradicts the bound I_n < 2 on rational
-    indices, so any hit is raised as an InternalInconsistency rather than
-    returned as data.
+    For n >= 3 a hit of any t contradicts the bound I_n < 2 on rational
+    indices, so it is raised as an InternalInconsistency rather than returned
+    as data.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    hits = direct_scan(ctx.d, n, t, bound, workers=workers, checkpoint=checkpoint)
-    if n >= 3 and hits:
+    if t < 2:
+        raise ValueError("t must be an integer >= 2")
+    found = direct_scan(ctx.d, n, bound, workers=workers, checkpoint=checkpoint)
+    if n >= 3 and found:
         raise InternalInconsistency(
-            f"scan produced {len(hits)} hits for n={n}, t={t}, d={ctx.d}; "
-            "indices that large cannot be integers"
+            f"scan produced {len(found)} hits for n={n}, d={ctx.d} "
+            f"(t in {sorted({tt for _, tt in found})}); indices that large cannot be integers"
         )
     return SearchReport(
         d=ctx.d,
         n=n,
         t=t,
         bound=bound,
-        hits=_sort_hits(hits),
+        hits=tuple(z for z, tt in found if tt == t),
         method="DirectScan",
         cross_checked=None,
     )

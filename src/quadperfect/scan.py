@@ -39,7 +39,8 @@ from itertools import product as iproduct
 import numpy as np
 
 from .abundancy import index_n
-from .ring import QuadInt, ring, try_div
+from .factorize import rho
+from .ring import QuadInt, ring
 from .splitting import SplitClass, _classify, prime_above, primes_up_to
 
 
@@ -73,81 +74,35 @@ def _prime_entry(d: int, p: int, e: int, n: int):
 
 
 def _coords(d: int, lo: int, hi: int):
-    """Doubled coordinates and norms of every canonical element with norm in [lo, hi)."""
-    D = -d
-    hi_inc = hi - 1
-    xs_parts: list[np.ndarray] = []
-    ys_parts: list[np.ndarray] = []
+    """Doubled coordinates and norms of every canonical element with norm in [lo, hi).
 
-    def emit(arr: np.ndarray, y: int) -> None:
+    4N = x*x + |d|*y*y with x = y (mod 2), and y is even unless d = 1 (mod 4).
+    The sector keeps y >= 0 and x > 0 on the real axis and for d = -1, x > y
+    for d = -3, and both signs of x above the axis otherwise.
+    """
+    D = -d
+    LO, HI = 4 * lo, 4 * (hi - 1)
+    xs_parts = [np.empty(0, dtype=np.int64)]
+    ys_parts = [np.empty(0, dtype=np.int64)]
+    for y in range(0, math.isqrt(HI // D) + 1, 1 if d % 4 == 1 else 2):
+        rem_lo = LO - D * y * y
+        x_lo = 0 if rem_lo <= 0 else math.isqrt(rem_lo - 1) + 1
+        x_hi = math.isqrt(HI - D * y * y)
+        if y == 0 or d == -1:
+            x_lo = max(x_lo, 1)
+        elif d == -3:
+            x_lo = max(x_lo, y + 1)
+        x_lo += (x_lo ^ y) & 1
+        if x_lo > x_hi:
+            continue
+        arr = np.arange(x_lo, x_hi + 1, 2, dtype=np.int64)
+        if y and d not in (-1, -3):
+            arr = np.concatenate((arr, -arr[arr > 0]))
         xs_parts.append(arr)
         ys_parts.append(np.full(arr.size, y, dtype=np.int64))
-
-    if d % 4 != 1:
-        bmax = math.isqrt(hi_inc // D) if hi_inc >= D else 0
-        for b in range(bmax + 1):
-            rem_hi = hi_inc - D * b * b
-            rem_lo = lo - D * b * b
-            a_hi = math.isqrt(rem_hi)
-            a_lo = 0 if rem_lo <= 0 else math.isqrt(rem_lo - 1) + 1
-            if d == -1 or b == 0:
-                a_lo = max(a_lo, 1)
-                if a_lo > a_hi:
-                    continue
-                emit(np.arange(a_lo, a_hi + 1, dtype=np.int64), b)
-            else:
-                # Upper half plane: both signs of the rational part.
-                if a_lo > a_hi:
-                    continue
-                arr = np.arange(a_lo, a_hi + 1, dtype=np.int64)
-                emit(arr, b)
-                pos = arr[arr > 0]
-                if pos.size:
-                    emit(-pos, b)
-        if not xs_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        xs = np.concatenate(xs_parts) * 2
-        ys = np.concatenate(ys_parts) * 2
-    else:
-        LO, HI = 4 * lo, 4 * hi_inc
-        ymax = math.isqrt(HI // D) if HI >= D else 0
-        for y in range(ymax + 1):
-            rem_hi = HI - D * y * y
-            rem_lo = LO - D * y * y
-            x_hi = math.isqrt(rem_hi)
-            x_lo = 0 if rem_lo <= 0 else math.isqrt(rem_lo - 1) + 1
-            par = y & 1
-            if y == 0:
-                start = max(x_lo, 2)
-                start += start & 1
-                if start > x_hi:
-                    continue
-                emit(np.arange(start, x_hi + 1, 2, dtype=np.int64), 0)
-            elif d == -3:
-                # Sixth-turn sector: x > y with matching parity.
-                start = max(x_lo, y + 2)
-                if (start & 1) != par:
-                    start += 1
-                if start > x_hi:
-                    continue
-                emit(np.arange(start, x_hi + 1, 2, dtype=np.int64), y)
-            else:
-                start = x_lo if (x_lo & 1) == par else x_lo + 1
-                if start > x_hi:
-                    continue
-                arr = np.arange(start, x_hi + 1, 2, dtype=np.int64)
-                emit(arr, y)
-                pos = arr[arr > 0]
-                if pos.size:
-                    emit(-pos, y)
-        if not xs_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        xs = np.concatenate(xs_parts)
-        ys = np.concatenate(ys_parts)
-    ns = (xs * xs + D * ys * ys) >> 2
-    return xs, ys, ns
+    xs = np.concatenate(xs_parts)
+    ys = np.concatenate(ys_parts)
+    return xs, ys, (xs * xs + D * ys * ys) >> 2
 
 
 def _max_distinct_primes(hi: int) -> int:
@@ -193,13 +148,6 @@ def _factor_segment(lo: int, hi: int):
     fe[big, cnt[big]] = 1
     cnt[big] += 1
     return fp, fe, cnt
-
-
-def _min_split_exp(z: QuadInt, pi: QuadInt, e: int) -> int:
-    k, w = 0, z
-    while k <= e and (q := try_div(w, pi)) is not None:
-        w, k = q, k + 1
-    return min(k, e - k)
 
 
 def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
@@ -280,10 +228,11 @@ def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
         pis = [prime_above(ctx, p) for p, _, _ in choices]
         for k in np.nonzero(ns == N)[0].tolist():
             z = QuadInt._raw(d, int(xs[k]), int(ys[k]))
-            profile = tuple(
-                _min_split_exp(z, pi, e) for pi, (_, e, _) in zip(pis, choices)
-            )
-            t = matched.get(profile)
+            profile = []
+            for pi, (_, e, _) in zip(pis, choices):
+                r = rho(pi, z)
+                profile.append(min(r, e - r))
+            t = matched.get(tuple(profile))
             if t is None:
                 continue
             exact = index_n(ctx, z, n).value

@@ -220,13 +220,12 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return min(r, p - r)
 
 
-def _cornacchia(D: int, p: int, r: int) -> tuple[int, int] | None:
-    """Descend the Euclid chain from (p, r) toward a solution of a*a + D*b*b = p."""
-    a, b = p, r
-    limit = math.isqrt(p)
+def _cornacchia(D: int, m: int, a: int, b: int) -> tuple[int, int] | None:
+    """Descend the Euclid chain from (a, b) toward a solution of x*x + D*y*y = m."""
+    limit = math.isqrt(m)
     while b > limit:
         a, b = b, a % b
-    c, rem = divmod(p - b * b, D)
+    c, rem = divmod(m - b * b, D)
     if rem:
         return None
     t = math.isqrt(c)
@@ -249,7 +248,7 @@ def prime_above(ctx: RingCtx, p: int) -> QuadInt:
     return _prime_above(ctx.d, p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _prime_above(d: int, p: int) -> QuadInt:
     if p == 2:
         cand = {
@@ -267,16 +266,8 @@ def _prime_above(d: int, p: int) -> QuadInt:
         # Solve x^2 + |d|y^2 = 4p over the parity-locked half coordinates:
         # lift the seed to the odd root, run the chain from (2p, seed).
         x0 = root if root & 1 else p - root
-        a, b = 2 * p, x0
-        limit = math.isqrt(4 * p)
-        while b > limit:
-            a, b = b, a % b
-        c, rem = divmod(4 * p - b * b, -d)
-        t = math.isqrt(c) if not rem else -1
-        assert rem == 0 and t * t == c, f"no norm-{p} element for d={d}"
-        cand = QuadInt(d, b, t, half=True)
+        sol = _cornacchia(-d, 4 * p, 2 * p, x0)
     else:
-        sol = _cornacchia(-d, p, root) or _cornacchia(-d, p, p - root)
-        assert sol is not None, f"no norm-{p} element for d={d}"
-        cand = QuadInt(d, sol[0], sol[1])
-    return canonicalize(cand)[1]
+        sol = _cornacchia(-d, p, p, root) or _cornacchia(-d, p, p, p - root)
+    assert sol is not None, f"no norm-{p} element for d={d}"
+    return canonicalize(QuadInt(d, sol[0], sol[1], half=d % 4 == 1))[1]

@@ -64,13 +64,28 @@ class TestExitCodes:
 
     def test_malformed_checkpoint_is_two(self, tmp_path):
         path = tmp_path / "bad.ckpt"
-        path.write_text("d=-1 n=2 t=2 norm_lo=50 norm_h\n")
+        path.write_text("d=-1 n=2 norm_lo=50 norm_h\n")
         proc = run_cli(
             "search", "--d", "-1", "--n", "2", "--t", "2", "--bound", "90",
             "--checkpoint", str(path),
         )
         assert proc.returncode == 2
         assert f"{path}:1" in proc.stderr
+
+    def test_one_t_checkpoint_is_two(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        path.write_text("d=-1 n=2 t=2 norm_lo=1 norm_hi=91 hits=9+3s;3+9s\n")
+        proc = run_cli(
+            "search", "--d", "-1", "--n", "2", "--t", "3", "--bound", "90",
+            "--checkpoint", str(path),
+        )
+        assert proc.returncode == 2
+        assert f"{path}:1" in proc.stderr and "delete the file" in proc.stderr
+
+    def test_t_below_two_is_two(self):
+        for n in ("1", "2"):
+            proc = run_cli("search", "--d", "-1", "--n", n, "--t", "1", "--bound", "100")
+            assert proc.returncode == 2, n
 
     def test_ledger_io_failure_is_three(self, tmp_path):
         missing_dir = tmp_path / "nope" / "ledger.txt"
@@ -240,6 +255,36 @@ def _append_worker(args) -> None:
         )
 
 
+class TestLedgerFile:
+    GOOD = "ts=1;d=-11;kind=t-perfect;n=1;t=2;elem=28;norm=784\n"
+
+    def test_torn_last_line_with_a_short_norm_is_skipped(self, tmp_path):
+        path = tmp_path / "ledger.txt"
+        path.write_text(self.GOOD + "ts=2;d=-11;kind=mersenne;n=1;t=2;elem=8128;norm=660")
+        assert [r["elem"] for r in read_ledger(str(path))] == ["28"]
+
+    def test_torn_last_line_without_fields_is_skipped(self, tmp_path):
+        path = tmp_path / "ledger.txt"
+        path.write_text(self.GOOD + "ts=2;d=-11;ki")
+        assert [r["norm"] for r in read_ledger(str(path))] == [784]
+
+    def test_malformed_complete_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "ledger.txt"
+        path.write_text(self.GOOD + "ts=2;d=-11;ki\n" + self.GOOD)
+        with pytest.raises(ValueError, match=f"{path}:2: malformed ledger line"):
+            read_ledger(str(path))
+        path.write_text(self.GOOD + "ts=2;d=-11;kind=mersenne\n")
+        with pytest.raises(ValueError, match=f"{path}:2: .*each of ts, d, kind"):
+            read_ledger(str(path))
+
+    def test_record_glued_onto_a_torn_line_is_malformed(self, tmp_path):
+        path = tmp_path / "ledger.txt"
+        path.write_text(self.GOOD + "ts=2;d=-11;ki")
+        append_ledger(str(path), d=-1, kind="n-powerful", n=2, t=2, z=QuadInt(-1, 9, 3))
+        with pytest.raises(ValueError, match=f"{path}:2: malformed ledger line"):
+            read_ledger(str(path))
+
+
 class TestLedgerConcurrency:
     def test_concurrent_appends_stay_line_atomic(self, tmp_path):
         path = str(tmp_path / "ledger.txt")
@@ -260,7 +305,7 @@ class TestInProcessMain:
     def test_search_mismatch_is_one(self, monkeypatch, capsys, tmp_path):
         # The direct scan claims an element the integer reduction never finds.
         monkeypatch.setattr(
-            prospect, "direct_scan", lambda d, *a, **k: [QuadInt(d, 6, 0)]
+            prospect, "direct_scan", lambda d, *a, **k: [(QuadInt(d, 6, 0), 2)]
         )
         ledger = tmp_path / "ledger.txt"
         argv = ["search", "--d", "-11", "--n", "1", "--t", "2", "--bound", "1000"]

@@ -22,11 +22,29 @@ from quadperfect import (
     worker_count,
     zeta_series,
 )
+from quadperfect import prospect
 from quadperfect.prospect import (
     _gaps,
     format_checkpoint_line,
     parse_checkpoint_line,
 )
+
+
+@pytest.fixture
+def shard_tasks(monkeypatch):
+    """Run scans in process on an empty cache; yields the list of shard tasks run."""
+    tasks = []
+    real = prospect.scan_shard_task
+
+    def counted(task):
+        tasks.append(task)
+        return real(task)
+
+    monkeypatch.setattr(prospect, "scan_shard_task", counted)
+    monkeypatch.setenv("QP_WORKERS", "1")
+    prospect._scan.cache_clear()
+    yield tasks
+    prospect._scan.cache_clear()
 
 
 class TestSearchTPerfect:
@@ -79,29 +97,76 @@ class TestSearchPowerfully:
     def test_direct_scan_respects_workers_env(self, monkeypatch):
         monkeypatch.setenv("QP_WORKERS", "1")
         assert worker_count() == 1
-        hits = direct_scan(-1, 2, 2, 90)
-        assert QuadInt(-1, 9, 3) in hits
+        hits = direct_scan(-1, 2, 90)
+        assert (QuadInt(-1, 9, 3), 2) in hits
         monkeypatch.setenv("QP_WORKERS", "0")
         with pytest.raises(ValueError):
             worker_count()
 
+    def test_rejects_t_below_two(self):
+        with pytest.raises(ValueError, match="t must be"):
+            search_powerfully(ring(-1), 2, 1, 100)
+
+    def test_n_three_hit_of_any_t_raises(self, shard_tasks, monkeypatch):
+        # A t=5 hit at n=3 is impossible, whichever t the search asked for.
+        monkeypatch.setattr(
+            prospect, "scan_shard_task", lambda task: (task[2], task[3], [(10, 0, 5)])
+        )
+        with pytest.raises(InternalInconsistency, match=r"n=3.*t in \[5\]"):
+            search_powerfully(ring(-1), 3, 2, 100)
+
+
+class TestScanCache:
+    def test_direct_scan_returns_every_t(self):
+        hits = direct_scan(-7, 2, 2000)
+        assert [(str(z), t) for z, t in hits] == [
+            ("(-7+3s)/2", 2), ("(7+3s)/2", 2), ("-7+1s", 3), ("7+1s", 3),
+        ]
+
+    def test_repeated_call_runs_no_shard(self, shard_tasks, tmp_path):
+        first = direct_scan(-1, 2, 200)
+        assert shard_tasks
+        shard_tasks.clear()
+        assert direct_scan(-1, 2, 200) == first
+        assert shard_tasks == []
+        # A checkpointed call never comes from the cache: it reads its file.
+        path = tmp_path / "scan.ckpt"
+        fake = [(QuadInt(-1, 5, 0), 7)]
+        path.write_text(format_checkpoint_line(-1, 2, 1, 201, fake) + "\n")
+        assert direct_scan(-1, 2, 200, checkpoint=str(path)) == fake
+        assert shard_tasks == []
+        path.write_text("")
+        assert direct_scan(-1, 2, 200, checkpoint=str(path)) == first
+        assert shard_tasks
+
+    def test_t3_resumes_from_t2_checkpoint(self, shard_tasks, tmp_path):
+        path = str(tmp_path / "scan.ckpt")
+        two = search_powerfully(ring(-7), 2, 2, 2000, checkpoint=path)
+        assert two.hits
+        shard_tasks.clear()
+        three = search_powerfully(ring(-7), 2, 3, 2000, checkpoint=path)
+        assert shard_tasks == []
+        plain = search_powerfully(ring(-7), 2, 3, 2000)
+        assert shard_tasks
+        assert three.hits == plain.hits
+        assert [str(z) for z in three.hits] == ["-7+1s", "7+1s"]
+
 
 class TestCheckpoint:
     def test_line_round_trip(self):
-        hits = [QuadInt(-1, 9, 3), QuadInt(-1, 3, 9)]
-        line = format_checkpoint_line(-1, 2, 2, 1, 91, hits)
+        hits = [(QuadInt(-1, 9, 3), 2), (QuadInt(-1, 3, 9), 2), (QuadInt(-1, 30, 30), 3)]
+        line = format_checkpoint_line(-1, 2, 1, 91, hits)
         rec = parse_checkpoint_line(line)
         assert rec == {
             "d": -1,
             "n": 2,
-            "t": 2,
             "norm_lo": 1,
             "norm_hi": 91,
             "hits": hits,
         }
 
     def test_empty_hits_round_trip(self):
-        rec = parse_checkpoint_line(format_checkpoint_line(-7, 1, 2, 5, 10, []))
+        rec = parse_checkpoint_line(format_checkpoint_line(-7, 1, 5, 10, []))
         assert rec["hits"] == []
 
     def test_gap_computation(self):
@@ -113,18 +178,17 @@ class TestCheckpoint:
 
     def test_scan_resumes_from_checkpoint(self, tmp_path):
         path = str(tmp_path / "scan.ckpt")
-        full = direct_scan(-1, 2, 2, 4000)
+        full = direct_scan(-1, 2, 4000)
         # Simulate an interrupted run: only the lower half was completed.
         from quadperfect.scan import scan_shard
 
         partial = scan_shard(-1, 2, 1, 2000)
         with open(path, "w") as fh:
             line = format_checkpoint_line(
-                -1, 2, 2, 1, 2000,
-                [QuadInt(-1, x, y, half=True) for x, y, t in partial if t == 2],
+                -1, 2, 1, 2000, [(QuadInt(-1, x, y, half=True), t) for x, y, t in partial]
             )
             fh.write(line + "\n")
-        resumed = direct_scan(-1, 2, 2, 4000, checkpoint=path)
+        resumed = direct_scan(-1, 2, 4000, checkpoint=path)
         assert resumed == full
         # The file gained records covering the remaining range.
         with open(path) as fh:
@@ -134,32 +198,41 @@ class TestCheckpoint:
 
     def test_torn_last_line_is_rescanned(self, tmp_path):
         path = tmp_path / "torn.ckpt"
-        full = direct_scan(-1, 2, 2, 200)
+        full = direct_scan(-1, 2, 200)
         path.write_text(
-            format_checkpoint_line(-1, 2, 2, 1, 50, [])
-            + "\nd=-1 n=2 t=2 norm_lo=50 norm_h"
+            format_checkpoint_line(-1, 2, 1, 50, [])
+            + "\nd=-1 n=2 norm_lo=50 norm_h"
         )
-        assert direct_scan(-1, 2, 2, 200, checkpoint=str(path)) == full
+        assert direct_scan(-1, 2, 200, checkpoint=str(path)) == full
         lines = path.read_text().splitlines(keepends=True)
         assert all(l.endswith("\n") for l in lines)
         recs = [parse_checkpoint_line(l) for l in lines]
         assert _gaps(200, [(r["norm_lo"], r["norm_hi"]) for r in recs]) == []
-        assert direct_scan(-1, 2, 2, 200, checkpoint=str(path)) == full
+        assert direct_scan(-1, 2, 200, checkpoint=str(path)) == full
 
     def test_malformed_line_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_text(
-            format_checkpoint_line(-1, 2, 2, 1, 50, [])
-            + "\nd=-1 n=2 t=2 norm_lo=50 norm_h\n"
+            format_checkpoint_line(-1, 2, 1, 50, [])
+            + "\nd=-1 n=2 norm_lo=50 norm_h\n"
         )
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + ".*norm_hi"):
-            direct_scan(-1, 2, 2, 200, checkpoint=str(path))
+            direct_scan(-1, 2, 200, checkpoint=str(path))
+
+    def test_one_t_line_must_be_deleted(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        path.write_text(
+            format_checkpoint_line(-1, 2, 1, 50, [])
+            + "\nd=-1 n=2 t=2 norm_lo=50 norm_hi=91 hits=9+3s;3+9s\n"
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + ".*t=.*delete"):
+            direct_scan(-1, 2, 200, checkpoint=str(path))
 
     def test_checkpoint_written_during_scan(self, tmp_path):
         path = str(tmp_path / "fresh.ckpt")
-        hits = direct_scan(-1, 2, 2, 90, checkpoint=path)
-        assert QuadInt(-1, 9, 3) in hits
-        again = direct_scan(-1, 2, 2, 90, checkpoint=path)
+        hits = direct_scan(-1, 2, 90, checkpoint=path)
+        assert (QuadInt(-1, 9, 3), 2) in hits
+        again = direct_scan(-1, 2, 90, checkpoint=path)
         assert again == hits
 
 
