@@ -20,6 +20,7 @@ from .factorize import divisors_up_to_associates, factor_element
 from .prospect import (
     SearchReport,
     VerificationReport,
+    append_record,
     congruence_identities,
     inert_residues,
     mersenne_perfects,
@@ -41,15 +42,14 @@ _MINUS_VALUE = re.compile(r"^-[\d.si]")
 
 
 def append_ledger(path: str, *, d: int, kind: str, n: int, t: int, z: QuadInt) -> None:
-    """Append one result line: key=value fields joined by ';', one write per line."""
+    """Append one result line: key=value fields joined by ';' (see append_record)."""
     if kind not in LEDGER_KINDS:
         raise ValueError(f"unknown ledger kind {kind!r}")
     line = (
         f"ts={int(time.time())};d={d};kind={kind};n={n};t={t};"
-        f"elem={z};norm={z.norm()}\n"
+        f"elem={z};norm={z.norm()}"
     )
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line)
+    append_record(path, line)
 
 
 def _parse_ledger_line(line: str) -> dict:
@@ -66,8 +66,8 @@ def _parse_ledger_line(line: str) -> dict:
 def read_ledger(path: str) -> list[dict]:
     """Every complete record of the ledger; an unterminated last line is skipped.
 
-    The file is never cut: the last line may be another process's append in
-    progress.
+    Reading never cuts the file: the last line may be another process's
+    append in progress.  The next append_record cuts a torn tail.
     """
     return read_records(path, _parse_ledger_line, "ledger")
 

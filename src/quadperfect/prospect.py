@@ -16,6 +16,7 @@ cached: searches for t = 2 and t = 3 at one (d, n, bound) often follow each othe
 
 from __future__ import annotations
 
+import fcntl
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -126,22 +127,17 @@ def parse_checkpoint_line(line: str) -> dict:
     return out
 
 
-def read_records(path: str, parse, what: str, *, truncate: bool = False) -> list:
+def read_records(path: str, parse, what: str) -> list:
     """parse(line) for every complete nonblank line of the file at path.
 
     An unterminated last line, cut by a crash or still being appended, is
-    skipped; truncate also cuts it from the file, so the next append starts a
-    line of its own.  A complete line that parse rejects raises ValueError
+    skipped.  A complete line that parse rejects raises ValueError
     "<path>:<line>: malformed <what> line: ...".
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    complete = data.rfind(b"\n") + 1
-    if truncate and complete < len(data):
-        with open(path, "r+b") as fh:
-            fh.truncate(complete)
     records = []
-    for lineno, raw in enumerate(data[:complete].splitlines(), 1):
+    for lineno, raw in enumerate(data[: data.rfind(b"\n") + 1].splitlines(), 1):
         try:
             line = raw.decode("utf-8")
             if line.strip():
@@ -151,19 +147,32 @@ def read_records(path: str, parse, what: str, *, truncate: bool = False) -> list
     return records
 
 
+def append_record(path: str, line: str) -> None:
+    """Append line and a newline in one write under an exclusive lock, first
+    cutting a tail torn by a crash back to the last newline."""
+    with open(path, "a+b", buffering=0) as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes
+        end = fh.seek(0, os.SEEK_END)
+        if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
+            fh.seek(0)
+            fh.truncate(fh.read().rfind(b"\n") + 1)
+        fh.write(line.encode("utf-8") + b"\n")
+
+
 def _load_checkpoint(path: str | None, d: int, n: int, bound: int):
+    """Shards and hits recorded for (d, n), clipped to norms up to bound."""
     done: list[tuple[int, int]] = []
     hits: dict[QuadInt, int] = {}
     if path is None or not os.path.exists(path):
         return done, hits
-    for rec in read_records(path, parse_checkpoint_line, "checkpoint", truncate=True):
+    for rec in read_records(path, parse_checkpoint_line, "checkpoint"):
         if (rec["d"], rec["n"]) != (d, n):
             continue
-        lo, hi = rec["norm_lo"], rec["norm_hi"]
-        if lo < 1 or hi > bound + 1 or lo >= hi:
+        lo, hi = rec["norm_lo"], min(rec["norm_hi"], bound + 1)
+        if lo < 1 or lo >= hi:
             continue
         done.append((lo, hi))
-        hits.update(rec["hits"])
+        hits.update((z, t) for z, t in rec["hits"] if z.norm() <= bound)
     return done, hits
 
 
@@ -204,8 +213,7 @@ def _scan(d: int, n: int, bound: int, nworkers: int, checkpoint: str | None) -> 
             pairs = [(QuadInt._raw(d, x, y), t) for x, y, t in shard_hits]
             found.update(pairs)
             if checkpoint is not None:
-                with open(checkpoint, "a", encoding="utf-8") as fh:
-                    fh.write(format_checkpoint_line(d, n, lo, hi, pairs) + "\n")
+                append_record(checkpoint, format_checkpoint_line(d, n, lo, hi, pairs))
     return tuple((z, found[z]) for z in _sort_hits(found))
 
 

@@ -4,7 +4,7 @@ A shard covers a norm interval [lo, hi).  Candidate coordinates come from the
 box |x| <= 2*sqrt(hi), |y| <= 2*sqrt(hi/|d|) filtered by the sector rules, so
 each canonical element in the interval is produced exactly once.  The interval
 is factored wholesale with a segmented sieve, and every distinct norm N is
-decided in plain integers.
+flagged or ruled out in plain integers.
 
 The index is I_n(z) = prod over pi**a exactly dividing z of
 sum(|pi|**(-j*n), j = 0..a); write geom(q, k) = 1 + q + ... + q**k.
@@ -21,27 +21,25 @@ Even n: every |pi|**n is an integer, and so is each chain of delta_n.  With
 q = p**(n/2), an inert p gives geom(p**n, e/2), a ramified p geom(q, e) and a
 split p geom(q, a) * geom(q, e - a), where a is the smaller exponent on the
 two primes above p; I_n is the product over N**(n/2).  A split p with e >= 2
-thus offers one factor per a.  Every choice is tried, and elements are
-resolved one by one only at norms where some choice gives an integer t >= 2.
-Each hit is certified by abundancy.index_n before it leaves the shard.
+thus offers one factor per a, and each choice of a gives one value.
 
-Two audits run inside every shard: an inert prime must never carry an odd
-norm exponent, and the number of enumerated elements per norm must equal the
-product of (split exponent + 1).  Either failure, or a hit that certification
-rejects, aborts the scan.
+This arithmetic only flags a norm where some value is an integer t >= 2;
+abundancy.index_n decides every element of a flagged norm.  Three audits
+abort the scan: an inert prime with an odd norm exponent, an element count
+per norm other than the product of (split exponent + 1), and exact integer
+indices at a flagged norm other than the flagged values (every choice of a
+is held by some element).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product as iproduct
 
 import numpy as np
 
 from .abundancy import index_n
-from .factorize import rho
 from .ring import QuadInt, ring
-from .splitting import SplitClass, _classify, prime_above, primes_up_to
+from .splitting import SplitClass, _classify, primes_up_to
 
 
 class InternalInconsistency(RuntimeError):
@@ -180,7 +178,7 @@ def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
         count_pred = 1
         rational = True
         value = 1
-        choices: list[tuple[int, int, tuple[int, ...]]] = []
+        choices: list[tuple[int, ...]] = []
         for j in range(FC[i]):
             p = ps[j]
             e = es[j]
@@ -200,7 +198,7 @@ def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
             elif len(factors) == 1:
                 value *= factors[0]
             else:
-                choices.append((p, e, factors))
+                choices.append(factors)
         if count_pred != counts_l[i]:
             raise InternalInconsistency(
                 f"norm {N} (d={d}): {counts_l[i]} elements enumerated, {count_pred} predicted"
@@ -209,38 +207,29 @@ def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
             continue
         # Only inert primes remain for odd n, so N is a perfect square.
         denom = math.isqrt(N) ** n if n & 1 else N ** (n >> 1)
-
-        # Exponent profile -> t, over every choice of profile per split prime
-        # with e >= 2 (a single empty profile when there are none).
-        matched: dict[tuple[int, ...], int] = {}
-        for profile in iproduct(*(range(len(f)) for _, _, f in choices)):
-            v = value
-            for (_, _, f), a in zip(choices, profile):
-                v *= f[a]
-            t, rem = divmod(v, denom)
-            if rem == 0 and t >= 2:
-                matched[profile] = t
-        if not matched:
+        if not choices and (value < 2 * denom or value % denom):
+            continue  # the common case, ruled out without building a set
+        values = [value]
+        for factors in choices:
+            values = [v * f for v in values for f in factors]
+        want = {v // denom for v in values if v >= 2 * denom and v % denom == 0}
+        if not want:
             continue
 
-        # Rare path: find the elements of this norm that realize a matching
-        # profile, and certify each through the exact index.
-        pis = [prime_above(ctx, p) for p, _, _ in choices]
+        # Rare path: the exact index decides every element of this norm.
+        exact = set()
         for k in np.nonzero(ns == N)[0].tolist():
             z = QuadInt._raw(d, int(xs[k]), int(ys[k]))
-            profile = []
-            for pi, (_, e, _) in zip(pis, choices):
-                r = rho(pi, z)
-                profile.append(min(r, e - r))
-            t = matched.get(tuple(profile))
-            if t is None:
-                continue
-            exact = index_n(ctx, z, n).value
-            if exact != t:
-                raise InternalInconsistency(
-                    f"scan reported I_{n}({z}) = {t} (d={d}), exact index is {exact}"
-                )
-            hits.append((z.x, z.y, t))
+            v = index_n(ctx, z, n).value
+            if v.is_rational() and v.as_fraction().denominator == 1:
+                t = int(v.as_fraction())
+                exact.add(t)
+                hits.append((z.x, z.y, t))
+        if exact != want:
+            raise InternalInconsistency(
+                f"norm {N} (d={d}): scan flagged I_{n} in {sorted(want)}, "
+                f"exact index gives {sorted(exact)}"
+            )
     return hits
 
 

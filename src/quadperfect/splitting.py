@@ -18,7 +18,6 @@ from typing import NamedTuple
 from .ring import QuadInt, RingCtx, canonicalize, ring
 
 _TRIAL_LIMIT = 10**6
-_rng = random.Random(0x51B0)
 
 
 class SplitClass(Enum):
@@ -45,7 +44,7 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin: deterministic witness set below 2**64, 40 random rounds above."""
+    """Miller-Rabin: deterministic witness set below 2**64, 40 rounds seeded by n above."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -57,7 +56,8 @@ def is_probable_prime(n: int) -> bool:
     if n < 1 << 64:
         witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     else:
-        witnesses = tuple(_rng.randrange(2, n - 1) for _ in range(40))
+        rng = random.Random(n)
+        witnesses = tuple(rng.randrange(2, n - 1) for _ in range(40))
     for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

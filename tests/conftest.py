@@ -1,11 +1,17 @@
 import math
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from quadperfect import UFD_DS, QuadInt, ring
 
 ALL_DS = UFD_DS
+
+# CLI tests start child interpreters; they import the package from this tree too.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(params=ALL_DS, ids=lambda d: f"d={d}")

@@ -279,10 +279,16 @@ class TestLedgerFile:
 
     def test_record_glued_onto_a_torn_line_is_malformed(self, tmp_path):
         path = tmp_path / "ledger.txt"
-        path.write_text(self.GOOD + "ts=2;d=-11;ki")
-        append_ledger(str(path), d=-1, kind="n-powerful", n=2, t=2, z=QuadInt(-1, 9, 3))
+        path.write_text(self.GOOD + "ts=2;d=-11;ki" + self.GOOD)
         with pytest.raises(ValueError, match=f"{path}:2: malformed ledger line"):
             read_ledger(str(path))
+
+    def test_append_after_a_torn_line_starts_a_line_of_its_own(self, tmp_path):
+        path = tmp_path / "ledger.txt"
+        path.write_text(self.GOOD + "ts=2;d=-11;ki")
+        append_ledger(str(path), d=-1, kind="n-powerful", n=2, t=2, z=QuadInt(-1, 9, 3))
+        assert [r["elem"] for r in read_ledger(str(path))] == ["28", "9+3s"]
+        assert path.read_text().endswith("norm=90\n")
 
 
 class TestLedgerConcurrency:

@@ -228,6 +228,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + ".*t=.*delete"):
             direct_scan(-1, 2, 200, checkpoint=str(path))
 
+    def test_larger_bound_checkpoint_serves_a_smaller_bound(self, shard_tasks, tmp_path):
+        path = str(tmp_path / "scan.ckpt")
+        direct_scan(-1, 2, 2000, checkpoint=path)
+        shard_tasks.clear()
+        clipped = direct_scan(-1, 2, 1000, checkpoint=path)
+        assert shard_tasks == []
+        assert len(open(path).readlines()) == 1
+        assert clipped == direct_scan(-1, 2, 1000)
+
     def test_checkpoint_written_during_scan(self, tmp_path):
         path = str(tmp_path / "fresh.ckpt")
         hits = direct_scan(-1, 2, 90, checkpoint=path)

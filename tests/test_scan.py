@@ -3,7 +3,7 @@ import pytest
 
 from quadperfect import InternalInconsistency, QuadInt, SplitClass, in_sector, index_n, ring
 from quadperfect import scan
-from quadperfect.abundancy import Index
+from quadperfect.abundancy import Index, SurdSum
 from quadperfect.scan import _coords, _factor_segment, scan_shard
 
 from conftest import make_rng
@@ -105,6 +105,19 @@ class TestScanShard:
             z = QuadInt(-1, x, y, half=True)
             v = index_n(ctx, z, 2).value
             assert v == t
+
+    def test_exact_index_decides_every_element_of_a_flagged_norm(self, monkeypatch):
+        # Norm 56 = 2**3 * 7 at d=-7 has four elements; the profiles of 2 give
+        # I_2 = 3 (two elements) and 15/7.  Whatever index_n says is reported.
+        def three_at_56(ctx, z, n):
+            if z.norm() == 56:
+                return Index(value=SurdSum.from_rational(3), n=n, z_norm=56)
+            return index_n(ctx, z, n)
+
+        monkeypatch.setattr(scan, "index_n", three_at_56)
+        hits = scan_shard(-7, 2, 50, 60)
+        assert len(hits) == 4
+        assert all(QuadInt(-7, x, y, half=True).norm() == 56 and t == 3 for x, y, t in hits)
 
 
 class TestScanChecks:

@@ -1,4 +1,7 @@
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadperfect import (
     QuadInt,
@@ -170,3 +173,51 @@ class TestMillerRabin:
         assert not is_probable_prime(2**11 - 1)
         assert not is_probable_prime(561)  # Carmichael
         assert not is_probable_prime(1)
+
+
+# sympy is a second implementation; each property draws a few dozen cases.
+_oracle = settings(max_examples=40, deadline=None)
+# Around 2**64: the deterministic witness set below, 40 seeded rounds above.
+_around_2_64 = st.integers(2**63, 2**66)
+_big_prime = st.integers(2**32, 2**66).map(sympy.nextprime)
+
+
+def _sympy_class(d: int, p: int) -> SplitClass:
+    if p == 2:
+        # 2 ramifies when it divides the discriminant (d = 2, 3 mod 4), else
+        # splits exactly when d = 1 (mod 8).
+        if d % 4 != 1:
+            return SplitClass.RAMIFIED
+        return SplitClass.SPLIT if d % 8 == 1 else SplitClass.INERT
+    if d % p == 0:
+        return SplitClass.RAMIFIED
+    return SplitClass.SPLIT if sympy.legendre_symbol(d % p, p) == 1 else SplitClass.INERT
+
+
+class TestSympyOracle:
+    @_oracle
+    @given(st.one_of(st.integers(-5, 10**6), _around_2_64, _around_2_64.map(sympy.nextprime)))
+    def test_is_probable_prime(self, n):
+        assert is_probable_prime(n) == sympy.isprime(n)
+
+    @_oracle
+    @given(st.tuples(_big_prime, _big_prime))
+    def test_is_probable_prime_rejects_large_semiprimes(self, pq):
+        assert not is_probable_prime(pq[0] * pq[1])
+
+    @_oracle
+    @given(
+        st.one_of(
+            st.integers(1, 10**15),
+            st.tuples(st.integers(10**6, 10**8), st.integers(10**6, 10**8), st.integers(1, 3)).map(
+                lambda t: sympy.nextprime(t[0]) ** t[2] * sympy.nextprime(t[1])
+            ),
+        )
+    )
+    def test_factor_integer(self, n):
+        assert dict(factor_integer(n).factors) == sympy.factorint(n)
+
+    @_oracle
+    @given(st.sampled_from(ALL_DS), st.integers(3, 10**9).map(sympy.prevprime))
+    def test_classify_prime(self, d, p):
+        assert classify_prime(ring(d), p) is _sympy_class(d, p)
