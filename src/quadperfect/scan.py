@@ -3,32 +3,57 @@
 A shard covers a norm interval [lo, hi).  Candidate coordinates come from the
 box |x| <= 2*sqrt(hi), |y| <= 2*sqrt(hi/|d|) filtered by the sector rules, so
 each canonical element in the interval is produced exactly once.  The interval
-is factored wholesale with a segmented sieve, and every distinct norm N is
-flagged or ruled out in plain integers.
+is factored wholesale with a segmented sieve.  Then a numpy filter keeps the
+few distinct norms that may hold an integer index, the exact arithmetic
+decides those, and three audits abort the scan when an invariant fails.
 
 The index is I_n(z) = prod over pi**a exactly dividing z of
-sum(|pi|**(-j*n), j = 0..a); write geom(q, k) = 1 + q + ... + q**k.
+sum(|pi|**(-j*n), j = 0..a); write geom(q, k) = 1 + q + ... + q**k and
+S(x, k) = 1 + x + ... + x**k.
 
-Odd n: over a split or ramified p, |pi| = sqrt(p) and the chains of the
-primes above p multiply to A + B*sqrt(p) with A, B > 0.  In the product, the
-coefficient of the square root of all such primes together is a product of
-positive B's that nothing cancels, as square roots of distinct squarefree
-integers are linearly independent: the norm holds no integer index.
-Otherwise every prime is inert, N is a perfect square and
-I_n = prod geom(p**n, e/2) / sqrt(N)**n.
+Filter.  The distinct primes of the shard are classified in one step by
+Euler's criterion, an int64 square-and-multiply; p = 2, and every p above
+isqrt(2**63 - 1) where a product of two residues would wrap, go to the scalar
+splitting._classify.  The rest works one factor column at a time.
 
-Even n: every |pi|**n is an integer, and so is each chain of delta_n.  With
-q = p**(n/2), an inert p gives geom(p**n, e/2), a ramified p geom(q, e) and a
-split p geom(q, a) * geom(q, e - a), where a is the smaller exponent on the
-two primes above p; I_n is the product over N**(n/2).  A split p with e >= 2
-thus offers one factor per a, and each choice of a gives one value.
+- Odd n: over a split or ramified p, |pi| = sqrt(p) and the chains of the
+  primes above p multiply to A + B*sqrt(p) with A, B > 0.  In the product,
+  the coefficient of the square root of all such primes together is a
+  product of positive B's that nothing cancels, as square roots of distinct
+  squarefree integers are linearly independent: the norm holds no integer
+  index.  A norm is a candidate when all its primes are inert.
+- Even n: with q = p**(n/2), an inert p contributes S(p**-n, e/2) to I_n, a
+  ramified p S(1/q, e), and a split p S(1/q, a) * S(1/q, e - a), where a is
+  the smaller exponent on the two primes above p.  Expanded, the split factor
+  is sum(c_s * q**-s, s = 0..e) with c_s = 1 + min(s, a, e - s), which grows
+  with a, so a = e//2 gives the largest index R of any element of the norm.
+  The filter computes R in float64 and keeps a norm when R >= 2*(1 - tau) and
+  either R lies within tau*R of an integer or the norm has a split prime
+  with e >= 2 (several profiles, whose values R alone does not separate).
 
-This arithmetic only flags a norm where some value is an integer t >= 2;
-abundancy.index_n decides every element of a flagged norm.  Three audits
-abort the scan: an inert prime with an odd norm exponent, an element count
-per norm other than the product of (split exponent + 1), and exact integer
-indices at a flagged norm other than the flagged values (every choice of a
-is held by some element).
+Why tau = 1e-9 is safe.  Let u = 2**-53 and grant numpy's power 4 ulp.
+Each x = p**-m (m = n or n/2, so x <= 2**-m <= 1/2) then carries a relative
+error of at most 5*u (one more for rounding p to a float), so an absolute
+error below 2.5*u, and x**(k+1) an absolute error below 4.5*u.
+S(x, k) = (1 - x**(k+1)) / (1 - x) divides two values >= 1/2 whose absolute
+errors stay below 5*u and 3*u, so S is off by a relative 17*u at most, a
+prime's factor (two S and a product) by 35*u, and R, one more product per
+prime, by 36*u*omega(N): below 3.3e-14 for N < 1e8 (omega <= 8) and 6e-14 for
+any N < 2**63 (omega <= 15).  So an element with integer index t >= 2 leaves
+the float R at least 2*(1 - tau), and when its norm has a single profile,
+within t*6e-14 < tau*R of t: the filter never drops it.
+
+Decide.  At a candidate norm the exact chains are multiplied out in plain
+integers: odd n has I_n = prod geom(p**n, e/2) / sqrt(N)**n, even n one value
+prod(chains) / N**(n/2) per choice of a for each split p with e >= 2.  When
+some value is an integer t >= 2, abundancy.index_n decides every element of
+the norm.
+
+Audits.  Three checks abort the scan: an inert prime with an odd norm
+exponent, an element count per norm other than the product of (split
+exponent + 1), and exact integer indices at a flagged norm other than the
+flagged values (every choice of a is held by some element).  The first two
+run vectorized over every distinct norm of the shard.
 """
 
 from __future__ import annotations
@@ -41,6 +66,14 @@ from .abundancy import index_n
 from .ring import QuadInt, ring
 from .splitting import SplitClass, _classify, primes_up_to
 
+# Class codes of _classify_primes; _CLASSES[code] is the SplitClass.
+_INERT, _RAMIFIED, _SPLIT = 0, 1, 2
+_CLASSES = (SplitClass.INERT, SplitClass.RAMIFIED, SplitClass.SPLIT)
+# Above this p the product of two residues mod p can wrap in int64.
+_EULER_MAX = math.isqrt(2**63 - 1)
+# Relative tolerance of the even-n float filter (derivation above).
+_TAU = 1e-9
+
 
 class InternalInconsistency(RuntimeError):
     """An exact invariant failed; the scan (or a theorem check) found a bug."""
@@ -51,24 +84,43 @@ def _geom(q: int, k: int) -> int:
     return (q ** (k + 1) - 1) // (q - 1)
 
 
-def _prime_entry(d: int, p: int, e: int, n: int):
-    """(element-count multiplier, chain factors) for prime p at norm exponent e.
+def _prime_entry(code: int, p: int, e: int, n: int) -> tuple[int, ...]:
+    """The possible values of p's divisor chain in delta_n at norm exponent e.
 
-    The factors are the possible values of p's divisor chain in delta_n, one
-    per profile a = 0..e//2 for a split prime; None means the chain is
-    irrational.  An inert p with odd e has no elements and returns None.
+    One value per profile a = 0..e//2 for a split prime, one otherwise.  Only
+    candidate norms get here: every inert e is even, and for odd n every
+    prime is inert.
     """
-    # p comes from the sieve, so skip the primality validation layer.
-    cls = _classify(d, p)
-    if cls is SplitClass.INERT:
-        return None if e & 1 else (1, (_geom(p**n, e >> 1),))
-    mult = 1 if cls is SplitClass.RAMIFIED else e + 1
-    if n & 1:
-        return mult, None
+    if code == _INERT:
+        return (_geom(p**n, e >> 1),)
     q = p ** (n >> 1)
-    if cls is SplitClass.RAMIFIED:
-        return mult, (_geom(q, e),)
-    return mult, tuple(_geom(q, a) * _geom(q, e - a) for a in range(e // 2 + 1))
+    if code == _RAMIFIED:
+        return (_geom(q, e),)
+    return tuple(_geom(q, a) * _geom(q, e - a) for a in range(e // 2 + 1))
+
+
+def _classify_primes(d: int, primes: np.ndarray) -> np.ndarray:
+    """Class codes (_INERT, _RAMIFIED, _SPLIT) of an array of primes.
+
+    Odd p up to _EULER_MAX take Euler's criterion, d**((p-1)/2) mod p by
+    square-and-multiply in int64; p = 2 and larger p take splitting._classify.
+    """
+    p = primes.astype(np.int64)
+    codes = np.empty(p.size, dtype=np.int8)
+    fast = (p > 2) & (p <= _EULER_MAX)
+    pf = p[fast]
+    base = d % pf
+    ramified = base == 0
+    k = (pf - 1) >> 1
+    r = np.ones_like(pf)
+    while k.any():
+        r = np.where(k & 1 == 1, r * base % pf, r)
+        base = base * base % pf
+        k >>= 1
+    codes[fast] = np.where(ramified, _RAMIFIED, np.where(r == 1, _SPLIT, _INERT))
+    for i in np.nonzero(~fast)[0].tolist():
+        codes[i] = _CLASSES.index(_classify(d, int(p[i])))
+    return codes
 
 
 def _coords(d: int, lo: int, hi: int):
@@ -148,6 +200,89 @@ def _factor_segment(lo: int, hi: int):
     return fp, fe, cnt
 
 
+def _geom_ratio(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """S(x, k) = 1 + x + ... + x**k elementwise, for 0 <= x <= 1/2."""
+    return (1.0 - x ** (k + 1)) / (1.0 - x)
+
+
+def _filter(d: int, n: int, lo: int, hi: int, uniq: np.ndarray, counts: np.ndarray):
+    """Audit the distinct norms uniq of [lo, hi) and flag those that may hold an integer index.
+
+    counts[i] is the number of elements of norm uniq[i].  Returns the
+    candidates as (norm, [(p, e, class code), ...]) in increasing norm.
+    """
+    fp, fe, fc = _factor_segment(lo, hi)
+    rows = uniq - lo
+    nf = fc[rows]
+    cols = range(int(nf.max()))
+    P = [fp[rows, j] for j in cols]
+    E = [fe[rows, j] for j in cols]
+    del fp, fe, fc, rows
+    valid = [nf > j for j in cols]
+
+    # Classify each distinct prime once; entries past a norm's last prime stay
+    # inert with e = 0, which no audit or test below can see.
+    primes, inverse = np.unique(
+        np.concatenate([np.zeros(0, np.int64)] + [P[j][valid[j]] for j in cols]),
+        return_inverse=True,
+    )
+    codes = _classify_primes(d, primes)[inverse]
+    C = []
+    start = 0
+    for j in cols:
+        c = np.full(uniq.size, _INERT, dtype=np.int8)
+        stop = start + int(np.count_nonzero(valid[j]))
+        c[valid[j]] = codes[start:stop]
+        start = stop
+        C.append(c)
+    del primes, inverse, codes
+
+    predicted = np.ones(uniq.size, dtype=np.int64)
+    for j in cols:
+        bad = (C[j] == _INERT) & (E[j] & 1 == 1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InternalInconsistency(
+                f"inert prime {P[j][i]} with odd exponent {E[j][i]} in norm {uniq[i]} (d={d})"
+            )
+        predicted *= np.where(C[j] == _SPLIT, E[j].astype(np.int64) + 1, 1)
+    bad = predicted != counts
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InternalInconsistency(
+            f"norm {uniq[i]} (d={d}): {counts[i]} elements enumerated, {predicted[i]} predicted"
+        )
+
+    if n & 1:
+        keep = np.ones(uniq.size, dtype=bool)
+        for j in cols:
+            keep &= C[j] == _INERT
+    else:
+        R = np.ones(uniq.size)
+        multi = np.zeros(uniq.size, dtype=bool)
+        with np.errstate(under="ignore"):
+            for j in cols:
+                idx = np.nonzero(valid[j])[0]
+                c = C[j][idx]
+                e = E[j][idx].astype(np.int64)
+                inert = c == _INERT
+                x = P[j][idx].astype(np.float64) ** np.where(inert, -n, -(n >> 1))
+                a = np.where(c == _RAMIFIED, e, e >> 1)
+                b = np.where(c == _SPLIT, e - (e >> 1), 0)
+                R[idx] *= _geom_ratio(x, a) * _geom_ratio(x, b)
+                multi[idx] |= (c == _SPLIT) & (e >= 2)
+        keep = (R >= 2 * (1 - _TAU)) & (multi | (np.abs(R - np.rint(R)) <= _TAU * R))
+
+    cand = np.nonzero(keep)[0]
+    Pc = [P[j][cand].tolist() for j in cols]
+    Ec = [E[j][cand].tolist() for j in cols]
+    Cc = [C[j][cand].tolist() for j in cols]
+    return [
+        (N, [(Pc[j][i], Ec[j][i], Cc[j][i]) for j in range(k)])
+        for i, (N, k) in enumerate(zip(uniq[cand].tolist(), nf[cand].tolist()))
+    ]
+
+
 def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
     """Elements with norm in [lo, hi) whose n-index is an integer t >= 2.
 
@@ -160,58 +295,24 @@ def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
     if ns.size == 0:
         return []
     uniq, counts = np.unique(ns, return_counts=True)
-    fp, fe, fc = _factor_segment(lo, hi)
-    rows = (uniq - lo).astype(np.int64)
-    FP = fp[rows].tolist()
-    FE = fe[rows].tolist()
-    FC = fc[rows].tolist()
-    del fp, fe, fc, rows
-
-    uniq_l = uniq.tolist()
-    counts_l = counts.tolist()
-    entries: dict[int, tuple] = {}
     hits: list[tuple[int, int, int]] = []
 
-    for i, N in enumerate(uniq_l):
-        ps = FP[i]
-        es = FE[i]
-        count_pred = 1
-        rational = True
+    for N, factors in _filter(d, n, lo, hi, uniq, counts):
         value = 1
         choices: list[tuple[int, ...]] = []
-        for j in range(FC[i]):
-            p = ps[j]
-            e = es[j]
-            key = (p << 8) | e
-            c = entries.get(key)
-            if c is None:
-                c = _prime_entry(d, p, e, n)
-                if c is None:
-                    raise InternalInconsistency(
-                        f"inert prime {p} with odd exponent {e} in norm {N} (d={d})"
-                    )
-                entries[key] = c
-            mult, factors = c
-            count_pred *= mult
-            if factors is None:
-                rational = False
-            elif len(factors) == 1:
-                value *= factors[0]
+        for p, e, code in factors:
+            chains = _prime_entry(code, p, e, n)
+            if len(chains) == 1:
+                value *= chains[0]
             else:
-                choices.append(factors)
-        if count_pred != counts_l[i]:
-            raise InternalInconsistency(
-                f"norm {N} (d={d}): {counts_l[i]} elements enumerated, {count_pred} predicted"
-            )
-        if not rational:
-            continue
+                choices.append(chains)
         # Only inert primes remain for odd n, so N is a perfect square.
         denom = math.isqrt(N) ** n if n & 1 else N ** (n >> 1)
         if not choices and (value < 2 * denom or value % denom):
             continue  # the common case, ruled out without building a set
         values = [value]
-        for factors in choices:
-            values = [v * f for v in values for f in factors]
+        for chains in choices:
+            values = [v * f for v in values for f in chains]
         want = {v // denom for v in values if v >= 2 * denom and v % denom == 0}
         if not want:
             continue

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+import sympy
 
-from quadperfect import InternalInconsistency, QuadInt, SplitClass, in_sector, index_n, ring
+from quadperfect import InternalInconsistency, QuadInt, in_sector, index_n, ring
 from quadperfect import scan
 from quadperfect.abundancy import Index, SurdSum
 from quadperfect.scan import _coords, _factor_segment, scan_shard
+from quadperfect.splitting import _classify, is_probable_prime, primes_up_to
 
 from conftest import make_rng
-from oracles import canonical_elements_up_to, elements_with_norm
+from oracles import canonical_elements_up_to, elements_with_norm, flagged_norms
 
 SMALL_BOUND = 400
 
@@ -52,6 +54,46 @@ class TestFactorSegment:
             for p, e in zip(fp[i][: fc[i]].tolist(), fe[i][: fc[i]].tolist()):
                 product *= int(p) ** int(e)
             assert product == n, f"bad factorization of {n}"
+
+
+class TestClassifyPrimes:
+    # The int64 Euler criterion is only sound up to scan._EULER_MAX; the
+    # window above it holds primes it would misclassify without a warning.
+    PRIMES = list(primes_up_to(199_999)) + [
+        p for p in range(3_037_000_500, 3_037_003_000) if is_probable_prime(p)
+    ]
+
+    def test_matches_scalar_classify(self, d):
+        codes = scan._classify_primes(d, np.array(self.PRIMES, dtype=np.int64))
+        got = [scan._CLASSES[c] for c in codes.tolist()]
+        assert got == [_classify(d, p) for p in self.PRIMES]
+
+    @pytest.mark.parametrize("d", [-1, -163])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_shard_across_the_int64_bound(self, d, n):
+        assert scan_shard(d, n, 3_037_000_000, 3_037_004_000) == []
+
+
+FILTER_WINDOWS = ((1, 20_001), (99_990_000, 100_000_000))
+
+
+@pytest.fixture(scope="module")
+def factored_windows():
+    return {w: [(m, sympy.factorint(m)) for m in range(*w)] for w in FILTER_WINDOWS}
+
+
+class TestFilter:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_keeps_every_norm_the_scalar_test_flags(self, d, n, factored_windows):
+        for (lo, hi), factored in factored_windows.items():
+            uniq, counts = np.unique(_coords(d, lo, hi)[2], return_counts=True)
+            kept = {N for N, _ in scan._filter(d, n, lo, hi, uniq, counts)}
+            flagged = flagged_norms(d, n, factored)
+            assert flagged <= kept, f"[{lo}, {hi}) n={n}: dropped {sorted(flagged - kept)[:5]}"
+
+    def test_reference_flags_a_known_hit(self, factored_windows):
+        # The inclusion above is not vacuous: 9+3i of norm 90 has I_2 = 2.
+        assert 90 in flagged_norms(-1, 2, factored_windows[FILTER_WINDOWS[0]])
 
 
 class TestScanShard:
@@ -133,18 +175,18 @@ class TestScanChecks:
 
     def test_inert_prime_with_odd_exponent_raises(self, monkeypatch):
         # 5 splits in the Gaussian ring; calling it inert makes norm 5 impossible.
-        real = scan._classify
+        real = scan._classify_primes
         monkeypatch.setattr(
-            scan, "_classify", lambda d, p: SplitClass.INERT if p == 5 else real(d, p)
+            scan, "_classify_primes", lambda d, ps: np.where(ps == 5, scan._INERT, real(d, ps))
         )
         with pytest.raises(InternalInconsistency, match="odd exponent"):
             scan_shard(-1, 1, 1, 10)
 
     def test_element_count_mismatch_raises(self, monkeypatch):
         # 3 is inert in the Gaussian ring: norm 9 has one element, not three.
-        real = scan._classify
+        real = scan._classify_primes
         monkeypatch.setattr(
-            scan, "_classify", lambda d, p: SplitClass.SPLIT if p == 3 else real(d, p)
+            scan, "_classify_primes", lambda d, ps: np.where(ps == 3, scan._SPLIT, real(d, ps))
         )
         with pytest.raises(InternalInconsistency, match="predicted"):
             scan_shard(-1, 2, 1, 10)

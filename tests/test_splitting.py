@@ -17,6 +17,7 @@ from quadperfect import (
 )
 
 from conftest import ALL_DS, make_rng
+from oracles import sympy_class
 
 PRIME_TABLE_LIMIT = 10_000
 
@@ -182,18 +183,6 @@ _around_2_64 = st.integers(2**63, 2**66)
 _big_prime = st.integers(2**32, 2**66).map(sympy.nextprime)
 
 
-def _sympy_class(d: int, p: int) -> SplitClass:
-    if p == 2:
-        # 2 ramifies when it divides the discriminant (d = 2, 3 mod 4), else
-        # splits exactly when d = 1 (mod 8).
-        if d % 4 != 1:
-            return SplitClass.RAMIFIED
-        return SplitClass.SPLIT if d % 8 == 1 else SplitClass.INERT
-    if d % p == 0:
-        return SplitClass.RAMIFIED
-    return SplitClass.SPLIT if sympy.legendre_symbol(d % p, p) == 1 else SplitClass.INERT
-
-
 class TestSympyOracle:
     @_oracle
     @given(st.one_of(st.integers(-5, 10**6), _around_2_64, _around_2_64.map(sympy.nextprime)))
@@ -220,4 +209,24 @@ class TestSympyOracle:
     @_oracle
     @given(st.sampled_from(ALL_DS), st.integers(3, 10**9).map(sympy.prevprime))
     def test_classify_prime(self, d, p):
-        assert classify_prime(ring(d), p) is _sympy_class(d, p)
+        assert classify_prime(ring(d), p) is sympy_class(d, p)
+
+    @_oracle
+    @given(
+        st.one_of(st.sampled_from(ALL_DS), st.integers(-(10**6), 10**6)),
+        st.integers(3, 10**12).map(sympy.nextprime),
+    )
+    def test_sqrt_mod(self, a, p):
+        # Both return the least root, or None for a nonresidue.
+        assert sqrt_mod(a, p) == sympy.sqrt_mod(a, p)
+
+    @pytest.mark.parametrize("d", ALL_DS, ids=lambda d: f"d={d}")
+    @settings(max_examples=15, deadline=None)
+    @given(st.one_of(st.integers(2, 200), st.integers(2, 10**12)).map(lambda m: sympy.nextprime(m - 1)))
+    def test_prime_above_has_norm_p(self, d, p):
+        ctx = ring(d)
+        if sympy_class(d, p) is SplitClass.INERT:
+            with pytest.raises(ValueError):
+                prime_above(ctx, p)
+        else:
+            assert prime_above(ctx, p).norm() == p
