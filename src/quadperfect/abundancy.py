@@ -6,6 +6,13 @@ SurdSum type keeps those combinations exact; by linear independence of
 distinct square roots over the rationals, structural equality after
 normalization is value equality, which is what makes "the index equals t"
 a decidable, exact predicate.
+
+delta_n is multiplicative.  Over pi**e, with N = N(pi) and geom(q, k) =
+1 + q + ... + q**k, its chain sum(|pi|**(j*n), j = 0..e) is, for n >= 0,
+geom(s**n, e) for an inert pi (N = s**2), geom(N**(n/2), e) for even n, and
+geom(N**n, e//2) + N**((n-1)/2) * geom(N**n, (e-1)//2) * sqrt(N) for odd n
+(_chain, in integers).  Pairing each divisor w of z with z/w gives
+delta_-n(z) = delta_n(z) / |z|**n, which for n >= 1 is the index index_n.
 """
 
 from __future__ import annotations
@@ -13,9 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .factorize import ElementFactorization, factor_element
+from .factorize import factor_element
 from .ring import QuadInt, RingCtx
 from .splitting import factor_integer
 
@@ -184,30 +191,36 @@ class Index:
     z_norm: int
 
 
-def _abs_power(norm_pi: int, m: int) -> SurdSum:
-    """|pi|**m = sqrt(norm_pi)**m as an exact surd (norm_pi prime or a prime square)."""
+def _geom(q: int, k: int) -> int:
+    """1 + q + ... + q**k for k >= -1: k + 1 when q = 1, and 0 when k = -1."""
+    if q == 1:
+        return k + 1
+    return (q ** (k + 1) - 1) // (q - 1)
+
+
+def _chain(norm_pi: int, e: int, n: int) -> tuple[int, int]:
+    """(A, B) with A + B*sqrt(norm_pi) = sum(|pi|**(j*n), j = 0..e), for n >= 0.
+
+    norm_pi is a prime, or the square of an inert prime.
+    """
     s = math.isqrt(norm_pi)
     if s * s == norm_pi:
-        return SurdSum.from_rational(Fraction(s) ** m)
-    k, odd = divmod(m, 2)
-    c = Fraction(norm_pi) ** k
-    return SurdSum.sqrt_int(norm_pi, c) if odd else SurdSum.from_rational(c)
+        return _geom(s**n, e), 0
+    if n & 1 == 0:
+        return _geom(norm_pi ** (n >> 1), e), 0
+    q = norm_pi**n
+    return _geom(q, e >> 1), norm_pi ** (n >> 1) * _geom(q, (e - 1) >> 1)
 
 
-def _check_power(n: int) -> None:
-    if abs(n) > MAX_POWER:
-        raise ValueError(f"|n| must be at most {MAX_POWER}")
-
-
-def _delta_from_parts(f: ElementFactorization, n: int) -> SurdSum:
-    total = SurdSum.from_rational(1)
-    for pi, e in f.parts:
-        npi = pi.norm()
-        chain = SurdSum.from_rational(0)
-        for j in range(e + 1):
-            chain = chain + _abs_power(npi, j * n)
-        total = total * chain
-    return total
+def _times_surd(terms: dict[int, int], a: int, b: int, r: int) -> dict[int, int]:
+    """terms * (a + b*sqrt(r)), for integer a, b >= 0 and squarefree r."""
+    out = {t: c * a for t, c in terms.items()} if a else {}
+    if b:
+        for t, c in terms.items():
+            g = math.gcd(t, r)
+            rad = (t // g) * (r // g)
+            out[rad] = out.get(rad, 0) + c * b * g
+    return out
 
 
 def delta_n(ctx: RingCtx, z: QuadInt, n: int) -> SurdSum:
@@ -216,23 +229,28 @@ def delta_n(ctx: RingCtx, z: QuadInt, n: int) -> SurdSum:
     Computed multiplicatively over the prime factorization; n may be any
     integer with |n| <= 64 (negative powers give rational-coefficient surds).
     """
-    _check_power(n)
-    return _delta_from_parts(factor_element(ctx, z), n)
+    if abs(n) > MAX_POWER:
+        raise ValueError(f"|n| must be at most {MAX_POWER}")
+    m = abs(n)
+    terms = {1: 1}
+    for pi, e in factor_element(ctx, z).parts:
+        npi = pi.norm()
+        terms = _times_surd(terms, *_chain(npi, e, m), npi)
+    if n >= 0:
+        return SurdSum._raw({r: Fraction(c) for r, c in terms.items()})
+    nz = z.norm()
+    if m & 1:  # 1/|z|**m = sqrt(nz) / nz**((m+1)/2)
+        square, rad = _squarefree_split(nz)
+        terms = _times_surd(terms, 0, square, rad)
+    denom = nz ** ((m + 1) >> 1)
+    return SurdSum._raw({r: Fraction(c, denom) for r, c in terms.items()})
 
 
 def index_n(ctx: RingCtx, z: QuadInt, n: int) -> Index:
-    """The exact index delta_n(z)/|z|**n; odd n is rationalized through sqrt(norm)."""
+    """The exact index delta_n(z)/|z|**n, which is delta_-n(z)."""
     if n < 1:
         raise ValueError("the index is defined for positive n")
-    _check_power(n)
-    f = factor_element(ctx, z)
-    nz = z.norm()
-    dsum = _delta_from_parts(f, n)
-    if n % 2 == 0:
-        value = dsum * Fraction(1, nz ** (n // 2))
-    else:
-        value = dsum * SurdSum.sqrt_int(nz, Fraction(1, nz ** ((n + 1) // 2)))
-    return Index(value=value, n=n, z_norm=nz)
+    return Index(value=delta_n(ctx, z, -n), n=n, z_norm=z.norm())
 
 
 def is_n_powerfully_t_perfect(ctx: RingCtx, z: QuadInt, n: int, t: int) -> bool:
@@ -245,25 +263,14 @@ def is_n_powerfully_t_perfect(ctx: RingCtx, z: QuadInt, n: int, t: int) -> bool:
 def classical_sigma(n: int, k: int) -> int | Fraction:
     """Sum of c**k over the positive divisors c of n (k = 0 counts divisors).
 
-    Integer for k >= 0, Fraction for negative k.
+    Integer for k >= 0, Fraction for negative k, from sigma_-k(n) = sigma_k(n) / n**k.
     """
     if n < 1:
         raise ValueError("classical_sigma wants a positive integer")
-    if k == 0:
-        out = 1
-        for _, e in factor_integer(n).factors:
-            out *= e + 1
-        return out
-    if k > 0:
-        out = 1
-        for p, e in factor_integer(n).factors:
-            out *= (p ** (k * (e + 1)) - 1) // (p**k - 1)
-        return out
-    out = Fraction(1)
+    out = 1
     for p, e in factor_integer(n).factors:
-        pk = Fraction(p) ** k
-        out *= (pk ** (e + 1) - 1) / (pk - 1)
-    return out
+        out *= _geom(p ** abs(k), e)
+    return out if k >= 0 else Fraction(out, n**-k)
 
 
 def classical_abundancy(n: int) -> Fraction:

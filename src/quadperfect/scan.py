@@ -43,11 +43,11 @@ any N < 2**63 (omega <= 15).  So an element with integer index t >= 2 leaves
 the float R at least 2*(1 - tau), and when its norm has a single profile,
 within t*6e-14 < tau*R of t: the filter never drops it.
 
-Decide.  At a candidate norm the exact chains are multiplied out in plain
-integers: odd n has I_n = prod geom(p**n, e/2) / sqrt(N)**n, even n one value
-prod(chains) / N**(n/2) per choice of a for each split p with e >= 2.  When
-some value is an integer t >= 2, abundancy.index_n decides every element of
-the norm.
+Decide.  At a candidate norm the exact chains, abundancy._chain, are
+multiplied out in plain integers: odd n has I_n = prod geom(p**n, e/2) /
+sqrt(N)**n, even n one value prod(chains) / N**(n/2) per choice of a for each
+split p with e >= 2.  When some value is an integer t >= 2, abundancy.index_n
+decides every element of the norm.
 
 Audits.  Three checks abort the scan: an inert prime with an odd norm
 exponent, an element count per norm other than the product of (split
@@ -62,7 +62,7 @@ import math
 
 import numpy as np
 
-from .abundancy import index_n
+from .abundancy import _chain, index_n
 from .ring import QuadInt, ring
 from .splitting import SplitClass, _classify, primes_up_to
 
@@ -77,26 +77,6 @@ _TAU = 1e-9
 
 class InternalInconsistency(RuntimeError):
     """An exact invariant failed; the scan (or a theorem check) found a bug."""
-
-
-def _geom(q: int, k: int) -> int:
-    """1 + q + ... + q**k."""
-    return (q ** (k + 1) - 1) // (q - 1)
-
-
-def _prime_entry(code: int, p: int, e: int, n: int) -> tuple[int, ...]:
-    """The possible values of p's divisor chain in delta_n at norm exponent e.
-
-    One value per profile a = 0..e//2 for a split prime, one otherwise.  Only
-    candidate norms get here: every inert e is even, and for odd n every
-    prime is inert.
-    """
-    if code == _INERT:
-        return (_geom(p**n, e >> 1),)
-    q = p ** (n >> 1)
-    if code == _RAMIFIED:
-        return (_geom(q, e),)
-    return tuple(_geom(q, a) * _geom(q, e - a) for a in range(e // 2 + 1))
 
 
 def _classify_primes(d: int, primes: np.ndarray) -> np.ndarray:
@@ -174,7 +154,10 @@ def _factor_segment(lo: int, hi: int):
     cnt = np.zeros(width, dtype=np.int8)
     fp = np.zeros((width, maxf), dtype=ptype)
     fe = np.zeros((width, maxf), dtype=np.int8)
-    for p in primes_up_to(math.isqrt(max(hi - 1, 1))):
+    # One prime table per power of two, so shards share the cached tables.
+    for p in primes_up_to(1 << math.isqrt(max(hi - 1, 1)).bit_length()):
+        if p * p >= hi:
+            break
         start = (-lo) % p
         if start >= width:
             continue
@@ -299,13 +282,17 @@ def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
 
     for N, factors in _filter(d, n, lo, hi, uniq, counts):
         value = 1
-        choices: list[tuple[int, ...]] = []
+        choices: list[list[int]] = []
         for p, e, code in factors:
-            chains = _prime_entry(code, p, e, n)
-            if len(chains) == 1:
-                value *= chains[0]
-            else:
-                choices.append(chains)
+            # Only candidates get here: every inert e is even, and for odd n
+            # every prime is inert, so each chain is rational.
+            if code == _INERT:
+                value *= _chain(p * p, e >> 1, n)[0]
+            elif code == _RAMIFIED or e == 1:  # a split e = 1 has one profile
+                value *= _chain(p, e, n)[0]
+            else:  # one value per profile a = 0..e//2 of the primes above p
+                ends = [_chain(p, a, n)[0] for a in range(e + 1)]
+                choices.append([ends[a] * ends[e - a] for a in range(e // 2 + 1)])
         # Only inert primes remain for odd n, so N is a perfect square.
         denom = math.isqrt(N) ** n if n & 1 else N ** (n >> 1)
         if not choices and (value < 2 * denom or value % denom):

@@ -9,6 +9,7 @@ come from sympy's quadratic-residue test, not from the library's Euler criterion
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -93,6 +94,7 @@ def sqrt_reduced(m: int) -> tuple[int, int]:
     return c, r
 
 
+@functools.cache
 def abs_power_surd(norm_w: int, n: int) -> SurdSum:
     """|w|**n = sqrt(norm_w)**n as an exact surd."""
     k, odd = divmod(n, 2)

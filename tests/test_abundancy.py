@@ -16,12 +16,13 @@ from quadperfect import (
     is_associated,
     is_n_powerfully_t_perfect,
     prime_above,
+    primes_up_to,
     ring,
     units,
 )
 
 from conftest import make_rng, random_element, random_element_norm_le
-from oracles import brute_delta
+from oracles import abs_power_surd, brute_delta
 
 PROPERTY_CASES = 1000
 
@@ -110,6 +111,23 @@ class TestDelta:
             for n in (-3, -1, 1, 2, 3):
                 assert delta_n(ctx, z, n) == brute_delta(z, n), f"z={z}, n={n}"
 
+    def test_prime_power_chains(self, ctx):
+        """delta_n(pi**e) = sum(|pi**j|**n, j = 0..e) for e and |n| beyond criterion 5."""
+        first = {}
+        for p in primes_up_to(200):
+            first.setdefault(classify_prime(ctx, p), p)
+        assert len(first) == 3
+        for cls, p in first.items():
+            pi = QuadInt.from_int(ctx.d, p) if cls is SplitClass.INERT else prime_above(ctx, p)
+            npi = pi.norm()
+            for e in range(13):
+                z = pi**e
+                for n in (0, 1, -1, 2, -2, 63, -63, 64, -64):
+                    want = SurdSum()
+                    for j in range(e + 1):
+                        want = want + abs_power_surd(npi**j, n)
+                    assert delta_n(ctx, z, n) == want, f"pi={pi}, e={e}, n={n}"
+
     def test_multiplicative_on_coprime_pairs(self, d):
         rng = make_rng("mult", d)
         ctx = ring(d)
@@ -184,8 +202,6 @@ class TestIndex:
         """Any ramified or split prime in the support forces a radical term."""
         rng = make_rng("lemma", d)
         ctx = ring(d)
-        from quadperfect import primes_up_to
-
         non_inert = [
             p for p in primes_up_to(60) if classify_prime(ctx, p) is not SplitClass.INERT
         ]
@@ -254,6 +270,6 @@ class TestClassicalSigma:
         rng = make_rng("sigma")
         for _ in range(200):
             n = rng.randrange(1, 50_000)
-            k = rng.choice((1, 2, 3))
-            direct = sum(c**k for c in range(1, n + 1) if n % c == 0)
+            k = rng.choice((-2, -1, 0, 1, 2, 3))
+            direct = sum(Fraction(c) ** k for c in range(1, n + 1) if n % c == 0)
             assert classical_sigma(n, k) == direct

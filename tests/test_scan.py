@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -54,6 +56,18 @@ class TestFactorSegment:
             for p, e in zip(fp[i][: fc[i]].tolist(), fe[i][: fc[i]].tolist()):
                 product *= int(p) ** int(e)
             assert product == n, f"bad factorization of {n}"
+
+
+class TestPrimeTableCache:
+    def test_one_table_per_power_of_two(self):
+        primes_up_to(64)  # _max_distinct_primes' table
+        lows = [9_000_000 + k * 7_500_000 for k in range(12)]
+        powers = {1 << math.isqrt(lo + 999).bit_length() for lo in lows}
+        assert len(powers) <= 3
+        before = primes_up_to.cache_info().currsize
+        for lo in lows:
+            _factor_segment(lo, lo + 1000)
+        assert primes_up_to.cache_info().currsize - before <= len(powers)
 
 
 class TestClassifyPrimes:
