@@ -8,6 +8,7 @@ surds, and norm-bounded searches for perfect and multiperfect elements.
 from .abundancy import (
     MAX_POWER,
     Index,
+    InternalInconsistency,
     SurdSum,
     classical_abundancy,
     classical_sigma,
@@ -52,7 +53,6 @@ from .ring import (
     try_div,
     units,
 )
-from .scan import InternalInconsistency
 from .splitting import (
     IntegerFactorization,
     SplitClass,

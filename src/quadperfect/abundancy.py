@@ -32,6 +32,10 @@ MAX_POWER = 64
 _RationalLike = int | Fraction
 
 
+class InternalInconsistency(RuntimeError):
+    """An exact invariant failed; the scan (or a theorem check) found a bug."""
+
+
 class SurdSum:
     """An exact finite sum of c_r * sqrt(r) over distinct squarefree r >= 1.
 

@@ -14,7 +14,7 @@ import re
 import sys
 import time
 
-from .abundancy import delta_n, index_n
+from .abundancy import InternalInconsistency, delta_n, index_n
 from .elemtext import ElementParseError, parse_element
 from .factorize import divisors_up_to_associates, factor_element
 from .prospect import (
@@ -30,7 +30,6 @@ from .prospect import (
     verify_bounds,
 )
 from .ring import QuadInt, ring
-from .scan import InternalInconsistency
 from .splitting import SplitClass, classify_prime, prime_above
 
 LEDGER_KINDS = ("t-perfect", "n-powerful", "mersenne")

@@ -16,6 +16,7 @@ from functools import reduce
 from .ring import QuadInt, RingCtx, canonicalize, is_associated, ring, try_div
 from .splitting import (
     SplitClass,
+    _classify,
     classify_prime,
     factor_integer,
     is_probable_prime,
@@ -48,7 +49,7 @@ def factor_element(ctx: RingCtx, z: QuadInt) -> ElementFactorization:
         raise ValueError("zero has no factorization")
     parts: list[tuple[QuadInt, int]] = []
     for p, e in factor_integer(z.norm()).factors:
-        cls = classify_prime(ctx, p)
+        cls = _classify(ctx.d, p)  # p is a prime: no second primality test
         if cls is SplitClass.INERT:
             if e & 1:
                 raise AssertionError(f"inert {p} with odd norm exponent {e} in {z!r}")

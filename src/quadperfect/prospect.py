@@ -26,13 +26,13 @@ from enum import Enum
 from functools import lru_cache
 
 from .abundancy import (
+    InternalInconsistency,
     classical_sigma,
     index_n,
     is_n_powerfully_t_perfect,
 )
 from .elemtext import parse_element
 from .ring import QuadInt, RingCtx, ring
-from .scan import InternalInconsistency, scan_shard_task
 from .splitting import (
     SplitClass,
     classify_prime,
@@ -201,9 +201,20 @@ def _shards(ranges: list[tuple[int, int]], width: int) -> list[tuple[int, int]]:
     return out
 
 
+def scan_shard_task(args) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """One shard, args = (d, n, lo, hi), as scan.scan_shard_task runs it."""
+    from . import scan
+
+    return scan.scan_shard_task(args)
+
+
 @lru_cache(maxsize=32)
 def _scan(d: int, n: int, bound: int, nworkers: int, checkpoint: str | None) -> tuple:
     """Drive the shards of one scan; checkpointed shards are read, new ones appended."""
+    # The scan, and numpy with it, loads here rather than with the package,
+    # and before the pool forks, so the workers inherit it.
+    from . import scan  # noqa: F401
+
     done, found = _load_checkpoint(checkpoint, d, n, bound)
     width = max(min(bound // max(1, 4 * nworkers) + 1, 1_000_000), 1 << 15)
     tasks = [(d, n, lo, hi) for lo, hi in _shards(_gaps(bound, done), width)]

@@ -2,19 +2,32 @@
 
 A shard covers a norm interval [lo, hi).  Candidate coordinates come from the
 box |x| <= 2*sqrt(hi), |y| <= 2*sqrt(hi/|d|) filtered by the sector rules, so
-each canonical element in the interval is produced exactly once.  The interval
-is factored wholesale with a segmented sieve.  Then a numpy filter keeps the
-few distinct norms that may hold an integer index, the exact arithmetic
-decides those, and three audits abort the scan when an invariant fails.
+each canonical element in the interval is produced exactly once.  A segmented
+sieve accumulates what the filter reads for every integer of the interval.
+Then a numpy filter keeps the few distinct norms that may hold an integer
+index, the exact arithmetic decides those, and three audits abort the scan
+when an invariant fails.
 
 The index is I_n(z) = prod over pi**a exactly dividing z of
 sum(|pi|**(-j*n), j = 0..a); write geom(q, k) = 1 + q + ... + q**k and
 S(x, k) = 1 + x + ... + x**k.
 
-Filter.  The distinct primes of the shard are classified in one step by
-Euler's criterion, an int64 square-and-multiply; p = 2, and every p above
-isqrt(2**63 - 1) where a product of two residues would wrap, go to the scalar
-splitting._classify.  The rest works one factor column at a time.
+Sieve.  Only the primes p with p*p < hi are sieved, so each integer m of the
+shard has at most one prime factor P above them, of exponent 1.  Strided
+slice updates over the multiples of each p**k fill 1-D arrays as wide as the
+shard: the product acc of the sieve-prime powers dividing m (so P = m // acc
+when m > acc), the predicted element count prod(e + 1) over split p, the
+number of inert p with an odd exponent, and for odd n a flag for a split or
+ramified p, for even n the float bound R below and a flag for a split p with
+e >= 2.  Everything the filter reads is multiplicative in m, so nothing
+keeps a list of primes per integer.  The filter reads the arrays at the
+distinct norms and folds in each norm's P; the candidate norms alone are
+then factored by trial division over the sieve primes.
+
+Filter.  Primes are classified by Euler's criterion, an int64
+square-and-multiply: the sieve primes once per shard, the primes P once per
+distinct norm.  p = 2, and every p above isqrt(2**63 - 1) where a product of
+two residues would wrap, go to the scalar splitting._classify.
 
 - Odd n: over a split or ramified p, |pi| = sqrt(p) and the chains of the
   primes above p multiply to A + B*sqrt(p) with A, B > 0.  In the product,
@@ -31,14 +44,16 @@ splitting._classify.  The rest works one factor column at a time.
   either R lies within tau*R of an integer or the norm has a split prime
   with e >= 2 (several profiles, whose values R alone does not separate).
 
-Why tau = 1e-9 is safe.  Let u = 2**-53 and grant numpy's power 4 ulp.
-Each x = p**-m (m = n or n/2, so x <= 2**-m <= 1/2) then carries a relative
-error of at most 5*u (one more for rounding p to a float), so an absolute
-error below 2.5*u, and x**(k+1) an absolute error below 4.5*u.
+Why tau = 1e-9 is safe.  Let u = 2**-53 and grant pow (Python's and numpy's)
+4 ulp.  Each x = p**-m (m = n or n/2, so x <= 2**-m <= 1/2) then carries a
+relative error of at most 5*u (one more for rounding p to a float), so an
+absolute error below 2.5*u, and x**(k+1) an absolute error below 4.5*u.
 S(x, k) = (1 - x**(k+1)) / (1 - x) divides two values >= 1/2 whose absolute
-errors stay below 5*u and 3*u, so S is off by a relative 17*u at most, a
-prime's factor (two S and a product) by 35*u, and R, one more product per
-prime, by 36*u*omega(N): below 3.3e-14 for N < 1e8 (omega <= 8) and 6e-14 for
+errors stay below 5*u and 3*u, so S is off by a relative 17*u at most, and a
+sieve prime's factor (two S and a product, computed once per exponent) by
+35*u.  The prime P above the sieve has e = 1 and contributes 1 + P**-(n/2),
+one power and one sum: off by 3.5*u.  R, one more product per prime, is then
+off by 36*u*omega(N): below 3.3e-14 for N < 1e8 (omega <= 8) and 6e-14 for
 any N < 2**63 (omega <= 15).  So an element with integer index t >= 2 leaves
 the float R at least 2*(1 - tau), and when its norm has a single profile,
 within t*6e-14 < tau*R of t: the filter never drops it.
@@ -58,13 +73,15 @@ run vectorized over every distinct norm of the shard.
 
 from __future__ import annotations
 
+import bisect
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .abundancy import _chain, index_n
+from .abundancy import InternalInconsistency, _chain, index_n
 from .ring import QuadInt, ring
-from .splitting import SplitClass, _classify, primes_up_to
+from .splitting import SplitClass, _classify, factor_integer, primes_up_to
 
 # Class codes of _classify_primes; _CLASSES[code] is the SplitClass.
 _INERT, _RAMIFIED, _SPLIT = 0, 1, 2
@@ -73,10 +90,6 @@ _CLASSES = (SplitClass.INERT, SplitClass.RAMIFIED, SplitClass.SPLIT)
 _EULER_MAX = math.isqrt(2**63 - 1)
 # Relative tolerance of the even-n float filter (derivation above).
 _TAU = 1e-9
-
-
-class InternalInconsistency(RuntimeError):
-    """An exact invariant failed; the scan (or a theorem check) found a bug."""
 
 
 def _classify_primes(d: int, primes: np.ndarray) -> np.ndarray:
@@ -135,57 +148,86 @@ def _coords(d: int, lo: int, hi: int):
     return xs, ys, (xs * xs + D * ys * ys) >> 2
 
 
-def _max_distinct_primes(hi: int) -> int:
-    prod, k = 1, 0
-    for p in primes_up_to(64):
-        prod *= p
-        k += 1
-        if prod > hi:
-            return k
-    raise ValueError(f"bound {hi} too large for the factor sieve")
+class _Sieve(NamedTuple):
+    """Accumulators of one shard [lo, hi) over its sieve primes, those with p*p < hi.
+
+    Entry i describes m = lo + i, which has at most one prime factor outside
+    the sieve: m // acc[i], of exponent 1.
+    """
+
+    primes: list[int]  # the sieve primes, increasing
+    codes: list[int]  # their class codes
+    acc: np.ndarray  # int64: the product of the sieve-prime powers dividing m
+    count: np.ndarray  # int32: prod(e + 1) over the split sieve primes
+    odd: np.ndarray  # int8: how many inert sieve primes have an odd exponent
+    nonin: np.ndarray | None  # odd n: m has a split or ramified sieve prime
+    R: np.ndarray | None  # even n: the float bound R over the sieve primes
+    multi: np.ndarray | None  # even n: m has a split sieve prime with e >= 2
 
 
-def _factor_segment(lo: int, hi: int):
-    """Factor every integer in [lo, hi): (primes, exponents, count) row per value."""
-    width = hi - lo
-    maxf = _max_distinct_primes(hi)
-    ptype = np.int32 if hi <= 2**31 else np.int64
-    res = np.arange(lo, hi, dtype=np.int64)
-    cnt = np.zeros(width, dtype=np.int8)
-    fp = np.zeros((width, maxf), dtype=ptype)
-    fe = np.zeros((width, maxf), dtype=np.int8)
-    # One prime table per power of two, so shards share the cached tables.
-    for p in primes_up_to(1 << math.isqrt(max(hi - 1, 1)).bit_length()):
-        if p * p >= hi:
-            break
-        start = (-lo) % p
-        if start >= width:
-            continue
-        idx = np.arange(start, width, p, dtype=np.int64)
-        col = cnt[idx]
-        fp[idx, col] = p
-        fe[idx, col] = 1
-        res[idx] //= p
-        pk = p * p
-        while pk < hi:
-            s2 = (-lo) % pk
-            if s2 >= width:
-                break
-            idx2 = np.arange(s2, width, pk, dtype=np.int64)
-            fe[idx2, cnt[idx2]] += 1
-            res[idx2] //= p
-            pk *= p
-        cnt[idx] += 1
-    big = np.nonzero(res > 1)[0]
-    fp[big, cnt[big]] = res[big]
-    fe[big, cnt[big]] = 1
-    cnt[big] += 1
-    return fp, fe, cnt
-
-
-def _geom_ratio(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """S(x, k) = 1 + x + ... + x**k elementwise, for 0 <= x <= 1/2."""
+def _geom_ratio(x: float, k: int) -> float:
+    """S(x, k) = 1 + x + ... + x**k, for 0 <= x <= 1/2."""
     return (1.0 - x ** (k + 1)) / (1.0 - x)
+
+
+def _bound_factor(p: int, code: int, e: int, n: int) -> float:
+    """The factor of p**e in the even-n bound R: one S-product."""
+    x = float(p) ** -(n if code == _INERT else n >> 1)
+    a = e if code == _RAMIFIED else e >> 1
+    return _geom_ratio(x, a) * _geom_ratio(x, e - a if code == _SPLIT else 0)
+
+
+def _factor_segment(d: int, n: int, lo: int, hi: int) -> _Sieve:
+    """Sieve [lo, hi) into the 1-D accumulators the filter reads at power n."""
+    width = hi - lo
+    root = math.isqrt(max(hi - 1, 1))
+    # One prime table per power of two, so shards share the cached tables.
+    table = primes_up_to(1 << root.bit_length())
+    primes = list(table[: bisect.bisect_right(table, root)])
+    codes = _classify_primes(d, np.array(primes, dtype=np.int64)).tolist()
+    acc = np.ones(width, dtype=np.int64)
+    count = np.ones(width, dtype=np.int32)
+    odd = np.zeros(width, dtype=np.int8)
+    nonin = np.zeros(width, dtype=bool) if n & 1 else None
+    R = None if n & 1 else np.ones(width)
+    multi = None if n & 1 else np.zeros(width, dtype=bool)
+    for p, code in zip(primes, codes):
+        # starts[k - 1] is the first i with p**k dividing lo + i.
+        starts = []
+        pk = p
+        while pk < hi and (s := -lo % pk) < width:
+            starts.append(s)
+            pk *= p
+        if not starts:
+            continue
+        for k, s in enumerate(starts, 1):
+            step = p**k
+            acc[s::step] *= p
+            if code == _SPLIT:  # the factor k of count becomes k + 1
+                if k > 1:
+                    count[s::step] //= k
+                count[s::step] *= k + 1
+            elif code == _INERT:  # adds 1 for an odd exponent, 0 for an even one
+                odd[s::step] += 1 if k & 1 else -1
+        if nonin is not None:
+            if code != _INERT:
+                nonin[starts[0] :: p] = True
+            continue
+        if code == _SPLIT and len(starts) > 1:
+            multi[starts[1] :: p * p] = True
+        # Each m gets the factor of its own exponent of p, written level by level.
+        f = np.full(len(range(starts[0], width, p)), _bound_factor(p, code, 1, n))
+        for k, s in enumerate(starts[1:], 2):
+            f[(s - starts[0]) // p :: p ** (k - 1)] = _bound_factor(p, code, k, n)
+        R[starts[0] :: p] *= f
+    return _Sieve(primes, codes, acc, count, odd, nonin, R, multi)
+
+
+def _odd_inert_message(d: int, N: int) -> str:
+    fac = factor_integer(N).factors
+    codes = _classify_primes(d, np.array([p for p, _ in fac], dtype=np.int64)).tolist()
+    odd = [(p, e) for (p, e), c in zip(fac, codes) if c == _INERT and e & 1]
+    return f"inert prime with odd exponent in norm {N} (d={d}): (p, e) = {odd}"
 
 
 def _filter(d: int, n: int, lo: int, hi: int, uniq: np.ndarray, counts: np.ndarray):
@@ -194,41 +236,21 @@ def _filter(d: int, n: int, lo: int, hi: int, uniq: np.ndarray, counts: np.ndarr
     counts[i] is the number of elements of norm uniq[i].  Returns the
     candidates as (norm, [(p, e, class code), ...]) in increasing norm.
     """
-    fp, fe, fc = _factor_segment(lo, hi)
+    sv = _factor_segment(d, n, lo, hi)
     rows = uniq - lo
-    nf = fc[rows]
-    cols = range(int(nf.max()))
-    P = [fp[rows, j] for j in cols]
-    E = [fe[rows, j] for j in cols]
-    del fp, fe, fc, rows
-    valid = [nf > j for j in cols]
+    acc = sv.acc[rows]
+    big = uniq // acc  # 1, or the one prime factor above the sieve
+    left = np.flatnonzero(big > 1)
+    big_codes = np.zeros(uniq.size, dtype=np.int8)
+    big_codes[left] = _classify_primes(d, big[left])
 
-    # Classify each distinct prime once; entries past a norm's last prime stay
-    # inert with e = 0, which no audit or test below can see.
-    primes, inverse = np.unique(
-        np.concatenate([np.zeros(0, np.int64)] + [P[j][valid[j]] for j in cols]),
-        return_inverse=True,
-    )
-    codes = _classify_primes(d, primes)[inverse]
-    C = []
-    start = 0
-    for j in cols:
-        c = np.full(uniq.size, _INERT, dtype=np.int8)
-        stop = start + int(np.count_nonzero(valid[j]))
-        c[valid[j]] = codes[start:stop]
-        start = stop
-        C.append(c)
-    del primes, inverse, codes
-
-    predicted = np.ones(uniq.size, dtype=np.int64)
-    for j in cols:
-        bad = (C[j] == _INERT) & (E[j] & 1 == 1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise InternalInconsistency(
-                f"inert prime {P[j][i]} with odd exponent {E[j][i]} in norm {uniq[i]} (d={d})"
-            )
-        predicted *= np.where(C[j] == _SPLIT, E[j].astype(np.int64) + 1, 1)
+    odd = sv.odd[rows]
+    odd[left] += big_codes[left] == _INERT
+    bad = odd != 0
+    if bad.any():
+        raise InternalInconsistency(_odd_inert_message(d, int(uniq[np.argmax(bad)])))
+    predicted = sv.count[rows]
+    predicted[left] *= 1 + (big_codes[left] == _SPLIT)
     bad = predicted != counts
     if bad.any():
         i = int(np.argmax(bad))
@@ -237,33 +259,42 @@ def _filter(d: int, n: int, lo: int, hi: int, uniq: np.ndarray, counts: np.ndarr
         )
 
     if n & 1:
-        keep = np.ones(uniq.size, dtype=bool)
-        for j in cols:
-            keep &= C[j] == _INERT
+        # A prime above the sieve is split or ramified, as the audit passed.
+        keep = ~sv.nonin[rows] & (big == 1)
     else:
-        R = np.ones(uniq.size)
-        multi = np.zeros(uniq.size, dtype=bool)
+        R = sv.R[rows]
         with np.errstate(under="ignore"):
-            for j in cols:
-                idx = np.nonzero(valid[j])[0]
-                c = C[j][idx]
-                e = E[j][idx].astype(np.int64)
-                inert = c == _INERT
-                x = P[j][idx].astype(np.float64) ** np.where(inert, -n, -(n >> 1))
-                a = np.where(c == _RAMIFIED, e, e >> 1)
-                b = np.where(c == _SPLIT, e - (e >> 1), 0)
-                R[idx] *= _geom_ratio(x, a) * _geom_ratio(x, b)
-                multi[idx] |= (c == _SPLIT) & (e >= 2)
-        keep = (R >= 2 * (1 - _TAU)) & (multi | (np.abs(R - np.rint(R)) <= _TAU * R))
+            R[left] *= 1.0 + big[left].astype(np.float64) ** -(n >> 1)
+        keep = (R >= 2 * (1 - _TAU)) & (sv.multi[rows] | (np.abs(R - np.rint(R)) <= _TAU * R))
 
-    cand = np.nonzero(keep)[0]
-    Pc = [P[j][cand].tolist() for j in cols]
-    Ec = [E[j][cand].tolist() for j in cols]
-    Cc = [C[j][cand].tolist() for j in cols]
-    return [
-        (N, [(Pc[j][i], Ec[j][i], Cc[j][i]) for j in range(k)])
-        for i, (N, k) in enumerate(zip(uniq[cand].tolist(), nf[cand].tolist()))
-    ]
+    # Each candidate's factors, by trial division of the candidates alone.
+    # Once the sieve part left, rem, is below p*p it is 1 or a prime.
+    cand = np.flatnonzero(keep)
+    factors: list[list[tuple[int, int, int]]] = [[] for _ in cand]
+    idx, rem = np.arange(cand.size), acc[cand]
+    code_of = dict(zip(sv.primes, sv.codes))
+    for p, code in zip(sv.primes, sv.codes):
+        done = rem < p * p
+        if done.any():
+            for i, r in zip(idx[done].tolist(), rem[done].tolist()):
+                if r > 1:
+                    factors[i].append((r, 1, code_of[r]))
+            idx, rem = idx[~done], rem[~done]
+            if not idx.size:
+                break
+        hit = np.flatnonzero(rem % p == 0)
+        quotients = []
+        for i, m in zip(idx[hit].tolist(), rem[hit].tolist()):
+            m, e = m // p, 1
+            while m % p == 0:
+                m, e = m // p, e + 1
+            factors[i].append((p, e, code))
+            quotients.append(m)
+        rem[hit] = quotients
+    for i, (b, code) in enumerate(zip(big[cand].tolist(), big_codes[cand].tolist())):
+        if b > 1:
+            factors[i].append((b, 1, code))
+    return list(zip(uniq[cand].tolist(), factors))
 
 
 def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from quadperfect import InternalInconsistency, QuadInt, in_sector, index_n, ring
 from quadperfect import scan
 from quadperfect.abundancy import Index, SurdSum
 from quadperfect.scan import _coords, _factor_segment, scan_shard
-from quadperfect.splitting import _classify, is_probable_prime, primes_up_to
+from quadperfect.splitting import SplitClass, _classify, is_probable_prime, primes_up_to
 
 from conftest import make_rng
-from oracles import canonical_elements_up_to, elements_with_norm, flagged_norms
+from oracles import canonical_elements_up_to, elements_with_norm, flagged_norms, sympy_class
 
 SMALL_BOUND = 400
 
@@ -47,26 +48,59 @@ class TestCoords:
         assert xs.shape == ys.shape == ns.shape
 
 
+def _bound(d: int, n: int, fac: dict[int, int]) -> Fraction:
+    """The even-n bound R over the primes of fac, exactly (split a = e//2)."""
+    out = Fraction(1)
+    for p, e in fac.items():
+        c = sympy_class(d, p)
+        x = Fraction(1, p ** (n if c is SplitClass.INERT else n // 2))
+        a = e if c is SplitClass.RAMIFIED else e // 2
+        b = e - a if c is SplitClass.SPLIT else 0
+        out *= sum(x**j for j in range(a + 1)) * sum(x**j for j in range(b + 1))
+    return out
+
+
 class TestFactorSegment:
+    """The sieve's accumulators, integer by integer, against sympy.factorint:
+    sieve part times cofactor, element count, odd-inert count, both flags and R."""
+
     @pytest.mark.parametrize("lo,hi", [(1, 1000), (999_000, 1_000_000), (10**8 - 500, 10**8)])
     def test_complete_factorizations(self, lo, hi):
-        fp, fe, fc = _factor_segment(lo, hi)
-        for i, n in enumerate(range(lo, hi)):
-            product = 1
-            for p, e in zip(fp[i][: fc[i]].tolist(), fe[i][: fc[i]].tolist()):
-                product *= int(p) ** int(e)
-            assert product == n, f"bad factorization of {n}"
+        root = math.isqrt(hi - 1)
+        fac = {m: sympy.factorint(m) for m in range(lo, hi)}
+        for d in (-1, -3, -7, -163):
+            odd_n, even_n = _factor_segment(d, 1, lo, hi), _factor_segment(d, 2, lo, hi)
+            assert odd_n.primes == even_n.primes == list(sympy.primerange(root + 1))
+            assert [scan._CLASSES[c] for c in odd_n.codes] == [
+                sympy_class(d, p) for p in odd_n.primes
+            ]
+            for i, m in enumerate(range(lo, hi)):
+                sieved = {p: e for p, e in fac[m].items() if p <= root}
+                cofactor = math.prod(p**e for p, e in fac[m].items() if p > root)
+                cls = {p: sympy_class(d, p) for p in sieved}
+                for sv in (odd_n, even_n):
+                    assert int(sv.acc[i]) * cofactor == m, (d, m)
+                    assert sv.count[i] == math.prod(
+                        e + 1 for p, e in sieved.items() if cls[p] is SplitClass.SPLIT
+                    ), (d, m)
+                    assert sv.odd[i] == sum(
+                        1 for p, e in sieved.items() if cls[p] is SplitClass.INERT and e & 1
+                    ), (d, m)
+                assert odd_n.nonin[i] == any(c is not SplitClass.INERT for c in cls.values())
+                assert even_n.multi[i] == any(
+                    cls[p] is SplitClass.SPLIT and e >= 2 for p, e in sieved.items()
+                ), (d, m)
+                assert even_n.R[i] == pytest.approx(float(_bound(d, 2, sieved)), rel=1e-13)
 
 
 class TestPrimeTableCache:
     def test_one_table_per_power_of_two(self):
-        primes_up_to(64)  # _max_distinct_primes' table
         lows = [9_000_000 + k * 7_500_000 for k in range(12)]
         powers = {1 << math.isqrt(lo + 999).bit_length() for lo in lows}
         assert len(powers) <= 3
         before = primes_up_to.cache_info().currsize
         for lo in lows:
-            _factor_segment(lo, lo + 1000)
+            _factor_segment(-1, 1, lo, lo + 1000)
         assert primes_up_to.cache_info().currsize - before <= len(powers)
 
 
@@ -96,6 +130,15 @@ def factored_windows():
     return {w: [(m, sympy.factorint(m)) for m in range(*w)] for w in FILTER_WINDOWS}
 
 
+# A window straddling 2**31 and one above 1e9.
+DEEP_WINDOWS = ((2**31 - 1000, 2**31 + 1000), (10**9, 10**9 + 2000))
+
+
+@pytest.fixture(scope="module")
+def deep_windows():
+    return {w: {m: sympy.factorint(m) for m in range(*w)} for w in DEEP_WINDOWS}
+
+
 class TestFilter:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_keeps_every_norm_the_scalar_test_flags(self, d, n, factored_windows):
@@ -104,6 +147,21 @@ class TestFilter:
             kept = {N for N, _ in scan._filter(d, n, lo, hi, uniq, counts)}
             flagged = flagged_norms(d, n, factored)
             assert flagged <= kept, f"[{lo}, {hi}) n={n}: dropped {sorted(flagged - kept)[:5]}"
+
+    def test_past_two_to_the_31(self, d, deep_windows):
+        """Windows straddling 2**31 and above 1e9 keep every flagged norm, and each
+        kept norm carries its complete factorization with sympy's classes."""
+        for (lo, hi), factored in deep_windows.items():
+            uniq, counts = np.unique(_coords(d, lo, hi)[2], return_counts=True)
+            for n in (1, 2, 3, 4, 5):
+                kept = scan._filter(d, n, lo, hi, uniq, counts)
+                flagged = flagged_norms(d, n, factored.items())
+                assert flagged <= {N for N, _ in kept}, f"[{lo}, {hi}) n={n}"
+                for N, factors in kept:
+                    assert {p: e for p, e, _ in factors} == factored[N]
+                    assert [scan._CLASSES[c] for _, _, c in factors] == [
+                        sympy_class(d, p) for p, _, _ in factors
+                    ]
 
     def test_reference_flags_a_known_hit(self, factored_windows):
         # The inclusion above is not vacuous: 9+3i of norm 90 has I_2 = 2.
