@@ -13,15 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-from .ring import QuadInt, RingCtx, canonicalize, is_associated, ring, try_div
-from .splitting import (
-    SplitClass,
-    _classify,
-    classify_prime,
-    factor_integer,
-    is_probable_prime,
-    prime_above,
-)
+from .ring import QuadInt, RingCtx, canonicalize, is_associated, try_div
+from .splitting import SplitClass, _classify, _prime_above, factor_integer, is_probable_prime
 
 
 @dataclass(frozen=True)
@@ -55,9 +48,9 @@ def factor_element(ctx: RingCtx, z: QuadInt) -> ElementFactorization:
                 raise AssertionError(f"inert {p} with odd norm exponent {e} in {z!r}")
             parts.append((QuadInt.from_int(ctx.d, p), e // 2))
         elif cls is SplitClass.RAMIFIED:
-            parts.append((prime_above(ctx, p), e))
+            parts.append((_prime_above(ctx.d, p), e))
         else:
-            pi = prime_above(ctx, p)
+            pi = _prime_above(ctx.d, p)
             a, w = 0, z
             while a < e and (q := try_div(w, pi)) is not None:
                 w, a = q, a + 1
@@ -78,7 +71,6 @@ def is_prime_element(pi: QuadInt) -> bool:
     associated to."""
     if not pi:
         return False
-    ctx = ring(pi.d)
     n = pi.norm()
     if n == 1:
         return False
@@ -88,7 +80,7 @@ def is_prime_element(pi: QuadInt) -> bool:
     return (
         q * q == n
         and is_probable_prime(q)
-        and classify_prime(ctx, q) is SplitClass.INERT
+        and _classify(pi.d, q) is SplitClass.INERT
         and is_associated(pi, QuadInt.from_int(pi.d, q))
     )
 

@@ -33,13 +33,7 @@ from .abundancy import (
 )
 from .elemtext import parse_element
 from .ring import QuadInt, RingCtx, ring
-from .splitting import (
-    SplitClass,
-    classify_prime,
-    factor_integer,
-    is_probable_prime,
-    primes_up_to,
-)
+from .splitting import SplitClass, _classify, factor_integer, is_probable_prime, primes_up_to
 
 #: Largest bound at which a search for t-perfect elements cross-checks itself
 #: with a direct scan.
@@ -272,10 +266,7 @@ def search_t_perfect(
     for r in range(1, math.isqrt(bound) + 1):
         if classical_sigma(r, 1) != t * r:
             continue
-        if all(
-            classify_prime(ctx, p) is SplitClass.INERT
-            for p, _ in factor_integer(r).factors
-        ):
+        if all(_classify(ctx.d, p) is SplitClass.INERT for p, _ in factor_integer(r).factors):
             hits.append(QuadInt.from_int(ctx.d, r))
     cross = None
     if bound <= CROSS_CHECK_LIMIT:
@@ -337,14 +328,14 @@ def mersenne_perfects(ctx: RingCtx, p_max: int) -> SearchReport:
     if p_max > _MERSENNE_EXP_LIMIT:
         raise ValueError(f"p_max is capped at {_MERSENNE_EXP_LIMIT}")
     hits = []
-    two_inert = classify_prime(ctx, 2) is SplitClass.INERT
+    two_inert = _classify(ctx.d, 2) is SplitClass.INERT
     for p in primes_up_to(max(p_max, 2)):
         if p > p_max:
             break
         m = (1 << p) - 1
         if not is_probable_prime(m):
             continue
-        if not two_inert or classify_prime(ctx, m) is not SplitClass.INERT:
+        if not two_inert or _classify(ctx.d, m) is not SplitClass.INERT:
             continue
         r = (1 << (p - 1)) * m
         z = QuadInt.from_int(ctx.d, r)
@@ -432,7 +423,7 @@ def inert_residues(ctx: RingCtx, modulus: int, scan_limit: int = 10**5) -> froze
     other_seen: dict[int, bool] = {}
     for p in primes_up_to(scan_limit):
         r = p % modulus
-        if classify_prime(ctx, p) is SplitClass.INERT:
+        if _classify(ctx.d, p) is SplitClass.INERT:
             inert_seen[r] = True
         else:
             other_seen[r] = True

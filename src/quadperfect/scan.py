@@ -24,10 +24,9 @@ keeps a list of primes per integer.  The filter reads the arrays at the
 distinct norms and folds in each norm's P; the candidate norms alone are
 then factored by trial division over the sieve primes.
 
-Filter.  Primes are classified by Euler's criterion, an int64
-square-and-multiply: the sieve primes once per shard, the primes P once per
-distinct norm.  p = 2, and every p above isqrt(2**63 - 1) where a product of
-two residues would wrap, go to the scalar splitting._classify.
+Filter.  Primes are classified by splitting's residue table, one gather at
+p mod |D| for primes of any size: the sieve primes once per shard, the
+primes P once per distinct norm.
 
 - Odd n: over a split or ramified p, |pi| = sqrt(p) and the chains of the
   primes above p multiply to A + B*sqrt(p) with A, B > 0.  In the product,
@@ -81,39 +80,19 @@ import numpy as np
 
 from .abundancy import InternalInconsistency, _chain, index_n
 from .ring import QuadInt, ring
-from .splitting import SplitClass, _classify, factor_integer, primes_up_to
+from .splitting import _RESIDUE_CLASSES, SplitClass, _classify, factor_integer, primes_up_to
 
 # Class codes of _classify_primes; _CLASSES[code] is the SplitClass.
-_INERT, _RAMIFIED, _SPLIT = 0, 1, 2
-_CLASSES = (SplitClass.INERT, SplitClass.RAMIFIED, SplitClass.SPLIT)
-# Above this p the product of two residues mod p can wrap in int64.
-_EULER_MAX = math.isqrt(2**63 - 1)
+from .splitting import _CLASSES, _INERT, _RAMIFIED, _SPLIT  # noqa: F401
+
 # Relative tolerance of the even-n float filter (derivation above).
 _TAU = 1e-9
 
 
 def _classify_primes(d: int, primes: np.ndarray) -> np.ndarray:
-    """Class codes (_INERT, _RAMIFIED, _SPLIT) of an array of primes.
-
-    Odd p up to _EULER_MAX take Euler's criterion, d**((p-1)/2) mod p by
-    square-and-multiply in int64; p = 2 and larger p take splitting._classify.
-    """
-    p = primes.astype(np.int64)
-    codes = np.empty(p.size, dtype=np.int8)
-    fast = (p > 2) & (p <= _EULER_MAX)
-    pf = p[fast]
-    base = d % pf
-    ramified = base == 0
-    k = (pf - 1) >> 1
-    r = np.ones_like(pf)
-    while k.any():
-        r = np.where(k & 1 == 1, r * base % pf, r)
-        base = base * base % pf
-        k >>= 1
-    codes[fast] = np.where(ramified, _RAMIFIED, np.where(r == 1, _SPLIT, _INERT))
-    for i in np.nonzero(~fast)[0].tolist():
-        codes[i] = _CLASSES.index(_classify(d, int(p[i])))
-    return codes
+    """Class codes (_INERT, _RAMIFIED, _SPLIT) of an int64 array of primes."""
+    D, table = _RESIDUE_CLASSES[d]
+    return np.frombuffer(table, dtype=np.int8)[primes % D]
 
 
 def _coords(d: int, lo: int, hi: int):
@@ -224,9 +203,11 @@ def _factor_segment(d: int, n: int, lo: int, hi: int) -> _Sieve:
 
 
 def _odd_inert_message(d: int, N: int) -> str:
-    fac = factor_integer(N).factors
-    codes = _classify_primes(d, np.array([p for p, _ in fac], dtype=np.int64)).tolist()
-    odd = [(p, e) for (p, e), c in zip(fac, codes) if c == _INERT and e & 1]
+    odd = [
+        (p, e)
+        for p, e in factor_integer(N).factors
+        if e & 1 and _classify(d, p) is SplitClass.INERT
+    ]
     return f"inert prime with odd exponent in norm {N} (d={d}): (p, e) = {odd}"
 
 

@@ -1,10 +1,15 @@
 """How integer primes behave in each ring, plus the rational-integer factorizer.
 
-An odd prime p ramifies exactly when p divides d, splits when d is a quadratic
-residue mod p, and is inert otherwise; p = 2 follows a fixed table (ramified
-for d in {-1, -2}, split for d = -7, inert for the rest).  Non-inert primes
-carry a degree-one prime element above them, constructed by Cornacchia's
-algorithm seeded with a Tonelli-Shanks square root.
+One table per ring decides how every prime behaves, whatever its size.  Let
+D be the discriminant: |D| = |d| for d = 1 (mod 4), 4|d| otherwise.  A prime
+p ramifies exactly when it divides D.  Since each ring has class number one,
+any other p splits exactly when it is the norm of an element.  The norm
+residues prime to D, those of x*x - d*y*y for 0 <= x < |D| and y in {0, 1},
+form the kernel of the character (D/.) mod |D|, and that character gives the
+class of every p not dividing D, p = 2 included.  So the class of p is the
+table's entry at p mod |D|.  Non-inert primes carry a degree-one prime
+element above them, constructed by Cornacchia's algorithm seeded with a
+Tonelli-Shanks square root.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from enum import Enum
 from functools import cache, lru_cache
 from typing import NamedTuple
 
-from .ring import QuadInt, RingCtx, canonicalize, ring
+from .ring import UFD_DS, QuadInt, RingCtx, canonicalize, ring
 
 _TRIAL_LIMIT = 10**6
 
@@ -24,6 +29,23 @@ class SplitClass(Enum):
     INERT = "inert"
     RAMIFIED = "ramified"
     SPLIT = "split"
+
+
+# Class codes of the residue tables; _CLASSES[code] is the SplitClass.
+_INERT, _RAMIFIED, _SPLIT = 0, 1, 2
+_CLASSES = (SplitClass.INERT, SplitClass.RAMIFIED, SplitClass.SPLIT)
+
+
+def _residue_classes(d: int) -> tuple[int, bytes]:
+    """(|D|, the class code of every residue mod |D|), as the module docstring derives."""
+    D = -d if d % 4 == 1 else -4 * d
+    norms = {(x * x - d * y * y) % D for x in range(D) for y in (0, 1)}
+    return D, bytes(
+        _RAMIFIED if math.gcd(r, D) > 1 else _SPLIT if r in norms else _INERT for r in range(D)
+    )
+
+
+_RESIDUE_CLASSES = {d: _residue_classes(d) for d in UFD_DS}
 
 
 class IntegerFactorization(NamedTuple):
@@ -167,14 +189,9 @@ def factor_integer(n: int) -> IntegerFactorization:
 
 
 def _classify(d: int, p: int) -> SplitClass:
-    if p == 2:
-        if d in (-1, -2):
-            return SplitClass.RAMIFIED
-        return SplitClass.SPLIT if d == -7 else SplitClass.INERT
-    if d % p == 0:
-        return SplitClass.RAMIFIED
-    # Euler's criterion: d is a QR mod p exactly when d^((p-1)/2) = 1.
-    return SplitClass.SPLIT if pow(d % p, (p - 1) // 2, p) == 1 else SplitClass.INERT
+    """The class of p, which the caller knows to be prime."""
+    D, table = _RESIDUE_CLASSES[d]
+    return _CLASSES[table[p % D]]
 
 
 def classify_prime(ctx: RingCtx, p: int) -> SplitClass:

@@ -9,7 +9,7 @@ from quadperfect import InternalInconsistency, QuadInt, in_sector, index_n, ring
 from quadperfect import scan
 from quadperfect.abundancy import Index, SurdSum
 from quadperfect.scan import _coords, _factor_segment, scan_shard
-from quadperfect.splitting import SplitClass, _classify, is_probable_prime, primes_up_to
+from quadperfect.splitting import SplitClass, is_probable_prime, primes_up_to
 
 from conftest import make_rng
 from oracles import canonical_elements_up_to, elements_with_norm, flagged_norms, sympy_class
@@ -105,8 +105,9 @@ class TestPrimeTableCache:
 
 
 class TestClassifyPrimes:
-    # The int64 Euler criterion is only sound up to scan._EULER_MAX; the
-    # window above it holds primes it would misclassify without a warning.
+    # The primes below 2e5 fall in every residue class of every ring's table;
+    # the window just above isqrt(2**63 - 1) is where an int64 power mod p
+    # would wrap, so a lookup must not depend on the size of p.
     PRIMES = list(primes_up_to(199_999)) + [
         p for p in range(3_037_000_500, 3_037_003_000) if is_probable_prime(p)
     ]
@@ -114,7 +115,7 @@ class TestClassifyPrimes:
     def test_matches_scalar_classify(self, d):
         codes = scan._classify_primes(d, np.array(self.PRIMES, dtype=np.int64))
         got = [scan._CLASSES[c] for c in codes.tolist()]
-        assert got == [_classify(d, p) for p in self.PRIMES]
+        assert got == [sympy_class(d, p) for p in self.PRIMES]
 
     @pytest.mark.parametrize("d", [-1, -163])
     @pytest.mark.parametrize("n", [1, 2])

@@ -207,7 +207,10 @@ class TestSympyOracle:
         assert dict(factor_integer(n).factors) == sympy.factorint(n)
 
     @_oracle
-    @given(st.sampled_from(ALL_DS), st.integers(3, 10**9).map(sympy.prevprime))
+    @given(
+        st.sampled_from(ALL_DS),
+        st.one_of(st.integers(3, 10**9).map(sympy.prevprime), _around_2_64.map(sympy.nextprime)),
+    )
     def test_classify_prime(self, d, p):
         assert classify_prime(ring(d), p) is sympy_class(d, p)
 
