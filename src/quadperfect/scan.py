@@ -1,12 +1,16 @@
 """Norm-bounded enumeration of canonical elements with exact integer-index detection.
 
-A shard covers a norm interval [lo, hi).  Candidate coordinates come from the
-box |x| <= 2*sqrt(hi), |y| <= 2*sqrt(hi/|d|) filtered by the sector rules, so
-each canonical element in the interval is produced exactly once.  A segmented
-sieve accumulates what the filter reads for every integer of the interval.
-Then a numpy filter keeps the few distinct norms that may hold an integer
-index, the exact arithmetic decides those, and three audits abort the scan
-when an invariant fails.
+A shard covers a norm interval [lo, hi), hi <= 2**61 so that 4*N fits in
+int64.  Candidate coordinates are laid out a block of rows y at a time, with
+no Python loop over rows: an exact int64 square root gives each row's range
+of x (x*x + |d|*y*y in [4*lo, 4*(hi - 1)]), the sector rules trim it, and
+np.repeat plus one arange spell out every row, so each canonical element in
+the interval is produced exactly once.  np.bincount over the norms gives the
+distinct norms and their element counts.  A segmented sieve accumulates what
+the filter reads for every integer of the interval.  Then a numpy filter
+keeps the few distinct norms that may hold an integer index, the exact
+arithmetic decides those, and three audits abort the scan when an invariant
+fails.
 
 The index is I_n(z) = prod over pi**a exactly dividing z of
 sum(|pi|**(-j*n), j = 0..a); write geom(q, k) = 1 + q + ... + q**k and
@@ -57,11 +61,11 @@ any N < 2**63 (omega <= 15).  So an element with integer index t >= 2 leaves
 the float R at least 2*(1 - tau), and when its norm has a single profile,
 within t*6e-14 < tau*R of t: the filter never drops it.
 
-Decide.  At a candidate norm the exact chains, abundancy._chain, are
-multiplied out in plain integers: odd n has I_n = prod geom(p**n, e/2) /
-sqrt(N)**n, even n one value prod(chains) / N**(n/2) per choice of a for each
-split p with e >= 2.  When some value is an integer t >= 2, abundancy.index_n
-decides every element of the norm.
+Decide.  At a candidate norm the exact chains, abundancy._chain (built once
+per prime power and shard), are multiplied out in plain integers: odd n has
+I_n = prod geom(p**n, e/2) / sqrt(N)**n, even n one value prod(chains) /
+N**(n/2) per choice of a for each split p with e >= 2.  When some value is
+an integer t >= 2, abundancy.index_n decides every element of the norm.
 
 Audits.  Three checks abort the scan: an inert prime with an odd norm
 exponent, an element count per norm other than the product of (split
@@ -73,6 +77,7 @@ run vectorized over every distinct norm of the shard.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from typing import NamedTuple
 
@@ -88,6 +93,13 @@ from .splitting import _CLASSES, _INERT, _RAMIFIED, _SPLIT  # noqa: F401
 # Relative tolerance of the even-n float filter (derivation above).
 _TAU = 1e-9
 
+# Rows y that _coords lays out at once, so its row arrays stay this long.
+# Every shard below norm 2.6e8 fits in one block and is not concatenated.
+_ROW_BLOCK = 1 << 14
+
+# The largest hi a shard takes: above it 4*(hi - 1) leaves int64.
+_HI_MAX = 2**61
+
 
 def _classify_primes(d: int, primes: np.ndarray) -> np.ndarray:
     """Class codes (_INERT, _RAMIFIED, _SPLIT) of an int64 array of primes."""
@@ -95,36 +107,81 @@ def _classify_primes(d: int, primes: np.ndarray) -> np.ndarray:
     return np.frombuffer(table, dtype=np.int8)[primes % D]
 
 
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """Exact floor square roots of an int64 array with 0 <= v < 2**63.
+
+    The float root is off by at most one; both corrections stay in int64, as
+    r <= isqrt(2**63 - 1) and (r + 1)**2 <= v is tested as v - r*r > 2*r.
+    """
+    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    r -= r * r > v
+    r += v - r * r > 2 * r
+    return r
+
+
 def _coords(d: int, lo: int, hi: int):
     """Doubled coordinates and norms of every canonical element with norm in [lo, hi).
 
     4N = x*x + |d|*y*y with x = y (mod 2), and y is even unless d = 1 (mod 4).
     The sector keeps y >= 0 and x > 0 on the real axis and for d = -1, x > y
-    for d = -3, and both signs of x above the axis otherwise.
+    for d = -3, and both signs of x above the axis otherwise.  Each row y
+    lists its x >= 0 in increasing order, then for both signs their negatives.
+    Needs 4*(hi - 1) < 2**63.
     """
     D = -d
     LO, HI = 4 * lo, 4 * (hi - 1)
-    xs_parts = [np.empty(0, dtype=np.int64)]
-    ys_parts = [np.empty(0, dtype=np.int64)]
-    for y in range(0, math.isqrt(HI // D) + 1, 1 if d % 4 == 1 else 2):
-        rem_lo = LO - D * y * y
-        x_lo = 0 if rem_lo <= 0 else math.isqrt(rem_lo - 1) + 1
-        x_hi = math.isqrt(HI - D * y * y)
-        if y == 0 or d == -1:
-            x_lo = max(x_lo, 1)
-        elif d == -3:
-            x_lo = max(x_lo, y + 1)
+    step = 1 if d % 4 == 1 else 2
+    both_signs = d not in (-1, -3)
+    y_end = math.isqrt(HI // D) + 1
+    xs_parts, ys_parts, ns_parts = [], [], []
+    for y0 in range(0, y_end, step * _ROW_BLOCK):
+        y = np.arange(y0, min(y0 + step * _ROW_BLOCK, y_end), step, dtype=np.int64)
+        dy = D * y * y
+        x_hi = _isqrt(HI - dy)
+        rem_lo = LO - dy
+        x_lo = np.where(rem_lo > 0, _isqrt(np.maximum(rem_lo - 1, 0)) + 1, 0)
+        if d == -3:
+            np.maximum(x_lo, y + 1, out=x_lo)
+        elif d == -1:
+            np.maximum(x_lo, 1, out=x_lo)
+        elif y0 == 0:
+            x_lo[0] = max(x_lo[0], 1)  # the real axis
         x_lo += (x_lo ^ y) & 1
-        if x_lo > x_hi:
+        # Row i holds cnt[i] values x_lo[i] + 2k; with both signs, then the
+        # negatives of the positive ones, -(first + 2k) with first = x_lo,
+        # or 2 when x_lo = 0 (x_hi >= 0, so cnt >= 1 there).
+        cnt = np.maximum((x_hi - x_lo) // 2 + 1, 0)
+        if both_signs:
+            seg = np.stack((cnt, (cnt - (x_lo == 0)) * (y > 0)), axis=1).ravel()
+            first = np.stack((x_lo, x_lo + 2 * (x_lo == 0)), axis=1).ravel()
+            width = seg[0::2] + seg[1::2]
+        else:
+            seg, first, width = cnt, x_lo, cnt
+        total = int(width.sum())
+        if not total:
             continue
-        arr = np.arange(x_lo, x_hi + 1, 2, dtype=np.int64)
-        if y and d not in (-1, -3):
-            arr = np.concatenate((arr, -arr[arr > 0]))
-        xs_parts.append(arr)
-        ys_parts.append(np.full(arr.size, y, dtype=np.int64))
-    xs = np.concatenate(xs_parts)
-    ys = np.concatenate(ys_parts)
-    return xs, ys, (xs * xs + D * ys * ys) >> 2
+        # Element i of a segment starting at s is first + 2*(i - s).
+        xs = np.arange(0, 2 * total, 2, dtype=np.int64)
+        xs += np.repeat(first - 2 * (np.cumsum(seg) - seg), seg)
+        if both_signs:
+            np.negative(xs, out=xs, where=np.repeat(np.arange(seg.size) & 1 == 1, seg))
+        ns = xs * xs
+        ns += np.repeat(dy, width)
+        ns >>= 2
+        xs_parts.append(xs)
+        ys_parts.append(np.repeat(y, width))
+        ns_parts.append(ns)
+    if len(xs_parts) == 1:
+        return xs_parts[0], ys_parts[0], ns_parts[0]
+    empty = [np.empty(0, dtype=np.int64)]
+    return tuple(np.concatenate(p or empty) for p in (xs_parts, ys_parts, ns_parts))
+
+
+def _norm_counts(ns: np.ndarray, lo: int, hi: int):
+    """The distinct norms of ns, all in [lo, hi), increasing, and how often each occurs."""
+    counts = np.bincount(ns - lo, minlength=hi - lo)
+    rows = np.flatnonzero(counts)
+    return rows + lo, counts[rows]
 
 
 class _Sieve(NamedTuple):
@@ -285,12 +342,16 @@ def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
     """
     if n < 1:
         raise ValueError("scan expects a positive power n")
+    if hi > _HI_MAX:
+        raise ValueError(f"scan needs hi <= 2**61, where 4*N fits in int64; got hi = {hi}")
     ctx = ring(d)
     xs, ys, ns = _coords(d, lo, hi)
     if ns.size == 0:
         return []
-    uniq, counts = np.unique(ns, return_counts=True)
+    uniq, counts = _norm_counts(ns, lo, hi)
     hits: list[tuple[int, int, int]] = []
+    # Each (norm_pi, e) chain is built once per shard; the cache goes with it.
+    chain = functools.cache(lambda norm_pi, e: _chain(norm_pi, e, n)[0])
 
     for N, factors in _filter(d, n, lo, hi, uniq, counts):
         value = 1
@@ -299,11 +360,11 @@ def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
             # Only candidates get here: every inert e is even, and for odd n
             # every prime is inert, so each chain is rational.
             if code == _INERT:
-                value *= _chain(p * p, e >> 1, n)[0]
+                value *= chain(p * p, e >> 1)
             elif code == _RAMIFIED or e == 1:  # a split e = 1 has one profile
-                value *= _chain(p, e, n)[0]
+                value *= chain(p, e)
             else:  # one value per profile a = 0..e//2 of the primes above p
-                ends = [_chain(p, a, n)[0] for a in range(e + 1)]
+                ends = [chain(p, a) for a in range(e + 1)]
                 choices.append([ends[a] * ends[e - a] for a in range(e // 2 + 1)])
         # Only inert primes remain for odd n, so N is a perfect square.
         denom = math.isqrt(N) ** n if n & 1 else N ** (n >> 1)

@@ -43,6 +43,32 @@ def elements_with_norm(d: int, m: int) -> list[QuadInt]:
     return out
 
 
+def coords_by_rows(d: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """(x, y, N) in doubled coordinates for every canonical element with norm in [lo, hi).
+
+    One row y at a time, with math.isqrt bounding x, and the sector of
+    in_sector written out: y >= 0; x > 0 on the real axis and for d = -1;
+    x > y for d = -3; both signs of x above the axis otherwise.
+    """
+    D = -d
+    LO, HI = 4 * lo, 4 * (hi - 1)
+    out = []
+    for y in range(0, math.isqrt(HI // D) + 1, 1 if d % 4 == 1 else 2):
+        rem_lo = LO - D * y * y
+        x_lo = 0 if rem_lo <= 0 else math.isqrt(rem_lo - 1) + 1
+        x_hi = math.isqrt(HI - D * y * y)
+        if y == 0 or d == -1:
+            x_lo = max(x_lo, 1)
+        elif d == -3:
+            x_lo = max(x_lo, y + 1)
+        x_lo += (x_lo ^ y) & 1
+        row = list(range(x_lo, x_hi + 1, 2))
+        if y and d not in (-1, -3):
+            row += [-x for x in row if x > 0]
+        out.extend((x, y, (x * x + D * y * y) // 4) for x in row)
+    return out
+
+
 def canonical_elements_up_to(d: int, bound: int) -> list[QuadInt]:
     out: list[QuadInt] = []
     for m in range(1, bound + 1):

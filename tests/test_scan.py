@@ -12,7 +12,13 @@ from quadperfect.scan import _coords, _factor_segment, scan_shard
 from quadperfect.splitting import SplitClass, is_probable_prime, primes_up_to
 
 from conftest import make_rng
-from oracles import canonical_elements_up_to, elements_with_norm, flagged_norms, sympy_class
+from oracles import (
+    canonical_elements_up_to,
+    coords_by_rows,
+    elements_with_norm,
+    flagged_norms,
+    sympy_class,
+)
 
 SMALL_BOUND = 400
 
@@ -46,6 +52,71 @@ class TestCoords:
         xs, ys, ns = _coords(d, 10**6, 10**6 + 1)
         # A one-norm window is allowed to be empty or not; shape consistency only.
         assert xs.shape == ys.shape == ns.shape
+
+
+# A window straddling 2**31 and one above 1e9.
+DEEP_WINDOWS = ((2**31 - 1000, 2**31 + 1000), (10**9, 10**9 + 2000))
+
+
+def _one_norm_windows(d: int) -> list[tuple[int, int]]:
+    """[N, N + 1) where 4N - |d|*y*y is a square: on the real axis at N = k*k,
+    and above it at the norm of an element with y > 0, so both ends of a
+    row's x range are exact squares."""
+    xys = [(8, 4), (10_000, 2_468)] + ([(7, 5), (9_999, 2_469)] if d % 4 == 1 else [])
+    above = [(x * x - d * y * y) // 4 for x, y in xys]
+    return [(N, N + 1) for N in [1, 4, 10**6, 46_341**2, (10**5 + 3) ** 2] + above]
+
+
+def _sorted_rows(rows) -> np.ndarray:
+    """(x, y, N) rows in sorted order, so two enumerations compare as multisets."""
+    out = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+    return out[np.lexsort(out.T[::-1])]
+
+
+class TestCoordsOracle:
+    """_coords against the per-row math.isqrt enumeration of oracles.coords_by_rows,
+    as multisets of (x, y, N), and its norm counts against np.unique."""
+
+    def windows(self, d):
+        return [
+            (1, SMALL_BOUND + 1), (50, 120), (1, 77), (77, 201), (1, 201), (10**6, 10**6 + 1),
+            (0, 50),  # the zero element is not canonical
+            (99 * 10**6, 10**8), *DEEP_WINDOWS, *_one_norm_windows(d),
+        ]  # fmt: skip
+
+    def test_matches_row_oracle(self, d):
+        for lo, hi in self.windows(d):
+            got = _sorted_rows(np.stack(_coords(d, lo, hi), axis=1))
+            want = _sorted_rows(coords_by_rows(d, lo, hi))
+            assert np.array_equal(got, want), f"d={d} [{lo}, {hi})"
+
+    def test_one_norm_windows_are_not_empty(self, d):
+        for lo, hi in _one_norm_windows(d):
+            assert lo in _coords(d, lo, hi)[2], f"d={d} N={lo}"
+
+    def test_norm_counts_match_unique(self, d):
+        for lo, hi in self.windows(d):
+            ns = _coords(d, lo, hi)[2]
+            uniq, counts = scan._norm_counts(ns, lo, hi)
+            want_uniq, want_counts = np.unique(ns, return_counts=True)
+            assert np.array_equal(uniq, want_uniq) and np.array_equal(counts, want_counts)
+
+
+class TestIsqrt:
+    """The int64 square root of _coords against math.isqrt at k*k - 1, k*k and
+    k*k + 1, up to k = isqrt(2**63 - 1), where a naive (r + 1)**2 wraps."""
+
+    TOP = math.isqrt(2**63 - 1)  # 3037000499
+
+    def test_around_squares(self):
+        rng = make_rng("isqrt")
+        ks = {*range(2_000), *range(self.TOP - 2_000, self.TOP + 1)}
+        ks |= {k for j in range(27, 32) for k in range(2**j - 50, 2**j + 50)}
+        ks |= {rng.randrange(self.TOP + 1) for _ in range(20_000)}
+        assert self.TOP in ks and self.TOP * self.TOP + 1 < 2**63
+        vs = sorted({k * k + e for k in ks for e in (-1, 0, 1) if k * k + e >= 0} | {2**63 - 1})
+        got = scan._isqrt(np.array(vs, dtype=np.int64))
+        assert got.tolist() == [math.isqrt(v) for v in vs]
 
 
 def _bound(d: int, n: int, fac: dict[int, int]) -> Fraction:
@@ -131,10 +202,6 @@ def factored_windows():
     return {w: [(m, sympy.factorint(m)) for m in range(*w)] for w in FILTER_WINDOWS}
 
 
-# A window straddling 2**31 and one above 1e9.
-DEEP_WINDOWS = ((2**31 - 1000, 2**31 + 1000), (10**9, 10**9 + 2000))
-
-
 @pytest.fixture(scope="module")
 def deep_windows():
     return {w: {m: sympy.factorint(m) for m in range(*w)} for w in DEEP_WINDOWS}
@@ -207,6 +274,13 @@ class TestScanShard:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             scan_shard(-1, 0, 1, 100)
+
+    def test_rejects_norms_past_int64(self):
+        # Above 2**61, 4*N leaves int64; the window is refused before any
+        # array is built (a billion-wide one would need gigabytes).
+        for lo, hi in ((2**61, 2**61 + 1), (2**62, 2**62 + 10**9)):
+            with pytest.raises(ValueError, match=r"2\*\*61"):
+                scan_shard(-1, 1, lo, hi)
 
     def test_split_square_resolution(self):
         """Norms with a squared split prime need per-element resolution; the
