@@ -8,9 +8,10 @@ agree; their agreement is recorded on the report.
 
 A direct scan returns every element of integer n-index t >= 2 with its t,
 and each search keeps its own t.  Scans shard the norm range, run shards
-across processes (capped by the QP_WORKERS environment variable), and can
-checkpoint completed shards, hits of every t included, to a newline-delimited
-file so interrupted scans resume.  The last 32 uncheckpointed results are
+across processes (capped by the QP_WORKERS environment variable) from norm
+bound 10**6 up and in the calling process below it, and can checkpoint
+completed shards, hits of every t included, to a newline-delimited file so
+interrupted scans resume.  The last 32 uncheckpointed results are
 cached: searches for t = 2 and t = 3 at one (d, n, bound) often follow each other.
 """
 
@@ -40,6 +41,12 @@ from .splitting import SplitClass, _classify, factor_integer, is_probable_prime,
 CROSS_CHECK_LIMIT = 10**8
 
 _MERSENNE_EXP_LIMIT = 127
+
+# Below this norm bound a scan runs its shards in the calling process, where
+# a 2-process pool costs about what it saves.  On 2 cores, one worker against
+# two, the measured crossover lies near 1e6 for n = 1 and n = 4 and near 5e5
+# for n = 2 (BENCH_scan.json, pool_crossover).
+_POOL_MIN_BOUND = 10**6
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -73,7 +80,7 @@ class SearchReport:
 @dataclass(frozen=True)
 class Check:
     name: str
-    passed: bool
+    passed: bool | None  # None: the check did not run, and detail says why
     detail: str
 
 
@@ -83,10 +90,11 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
+        """Every check ran and passed."""
         return all(c.passed for c in self.checks)
 
     def failures(self) -> tuple[Check, ...]:
-        return tuple(c for c in self.checks if not c.passed)
+        return tuple(c for c in self.checks if c.passed is False)
 
 
 def _sort_hits(hits) -> tuple[QuadInt, ...]:
@@ -210,6 +218,8 @@ def _scan(d: int, n: int, bound: int, nworkers: int, checkpoint: str | None) -> 
     from . import scan  # noqa: F401
 
     done, found = _load_checkpoint(checkpoint, d, n, bound)
+    if bound < _POOL_MIN_BOUND:
+        nworkers = 1
     width = max(min(bound // max(1, 4 * nworkers) + 1, 1_000_000), 1 << 15)
     tasks = [(d, n, lo, hi) for lo, hi in _shards(_gaps(bound, done), width)]
     parallel = nworkers > 1 and len(tasks) > 1

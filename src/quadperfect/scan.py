@@ -22,15 +22,16 @@ slice updates over the multiples of each p**k fill 1-D arrays as wide as the
 shard: the product acc of the sieve-prime powers dividing m (so P = m // acc
 when m > acc), the predicted element count prod(e + 1) over split p, the
 number of inert p with an odd exponent, and for odd n a flag for a split or
-ramified p, for even n the float bound R below and a flag for a split p with
-e >= 2.  Everything the filter reads is multiplicative in m, so nothing
-keeps a list of primes per integer.  The filter reads the arrays at the
-distinct norms and folds in each norm's P; the candidate norms alone are
-then factored by trial division over the sieve primes.
+ramified p, for even n the float bound R below.  Everything the filter reads
+is multiplicative in m, so nothing keeps a list of primes per integer.  The
+filter reads the arrays at the distinct norms and folds in each norm's P;
+only the norms that pass its float or all-inert test are then factored, by
+one trial division that tests the entries left against a block of sieve
+primes at a time.
 
 Filter.  Primes are classified by splitting's residue table, one gather at
 p mod |D| for primes of any size: the sieve primes once per shard, the
-primes P once per distinct norm.
+primes P once per distinct norm, the primes of the candidates once more.
 
 - Odd n: over a split or ramified p, |pi| = sqrt(p) and the chains of the
   primes above p multiply to A + B*sqrt(p) with A, B > 0.  In the product,
@@ -43,9 +44,19 @@ primes P once per distinct norm.
   the smaller exponent on the two primes above p.  Expanded, the split factor
   is sum(c_s * q**-s, s = 0..e) with c_s = 1 + min(s, a, e - s), which grows
   with a, so a = e//2 gives the largest index R of any element of the norm.
-  The filter computes R in float64 and keeps a norm when R >= 2*(1 - tau) and
-  either R lies within tau*R of an integer or the norm has a split prime
-  with e >= 2 (several profiles, whose values R alone does not separate).
+  The filter computes R in float64 and keeps a norm N > 1 when
+  R >= 2*(1 - tau) (an integer index above 1 is at least 2) and N passes the
+  divisibility test.
+- Divisibility test, even n.  Every element of norm N has index
+  prod(c_q) / N**(n/2), with c_q = geom(p**n, e/2) for an inert p,
+  geom(q, e) for a ramified p and geom(q, a) * geom(q, e - a) for a split p
+  with profile a.  Each c_q divides M_q, the product of c_q over every
+  profile a = 0..e//2 (M_q = c_q when the prime has one profile), so an
+  integer index forces N**(n/2) to divide prod(M_q).  One check covers
+  every profile.  The trial division of the float test's survivors gives
+  the exponents; the product is taken mod N**(n/2) in int64 when n = 2 and
+  N < 2**31, so no product of two residues leaves int64, and in Python
+  integers otherwise.  Only the norms that pass get factor lists.
 
 Why tau = 1e-9 is safe.  Let u = 2**-53 and grant pow (Python's and numpy's)
 4 ulp.  Each x = p**-m (m = n or n/2, so x <= 2**-m <= 1/2) then carries a
@@ -57,12 +68,13 @@ sieve prime's factor (two S and a product, computed once per exponent) by
 35*u.  The prime P above the sieve has e = 1 and contributes 1 + P**-(n/2),
 one power and one sum: off by 3.5*u.  R, one more product per prime, is then
 off by 36*u*omega(N): below 3.3e-14 for N < 1e8 (omega <= 8) and 6e-14 for
-any N < 2**63 (omega <= 15).  So an element with integer index t >= 2 leaves
-the float R at least 2*(1 - tau), and when its norm has a single profile,
-within t*6e-14 < tau*R of t: the filter never drops it.
+any N < 2**63 (omega <= 15).  So an element with integer index t >= 2, whose
+norm has exact R >= t, leaves the float R at least 2*(1 - tau): the float
+test never drops it, and the divisibility test is exact.
 
-Decide.  At a candidate norm the exact chains, abundancy._chain (built once
-per prime power and shard), are multiplied out in plain integers: odd n has
+Decide.  At a candidate norm, factored by the same trial division, the
+exact chains, abundancy._chain (built once per prime power and shard), are
+multiplied out in plain integers: odd n has
 I_n = prod geom(p**n, e/2) / sqrt(N)**n, even n one value prod(chains) /
 N**(n/2) per choice of a for each split p with e >= 2.  When some value is
 an integer t >= 2, abundancy.index_n decides every element of the norm.
@@ -99,6 +111,9 @@ _ROW_BLOCK = 1 << 14
 
 # The largest hi a shard takes: above it 4*(hi - 1) leaves int64.
 _HI_MAX = 2**61
+
+# Entries times primes that _trial_divide tests in one step.
+_TRIAL_CELLS = 1 << 14
 
 
 def _classify_primes(d: int, primes: np.ndarray) -> np.ndarray:
@@ -198,7 +213,6 @@ class _Sieve(NamedTuple):
     odd: np.ndarray  # int8: how many inert sieve primes have an odd exponent
     nonin: np.ndarray | None  # odd n: m has a split or ramified sieve prime
     R: np.ndarray | None  # even n: the float bound R over the sieve primes
-    multi: np.ndarray | None  # even n: m has a split sieve prime with e >= 2
 
 
 def _geom_ratio(x: float, k: int) -> float:
@@ -226,7 +240,6 @@ def _factor_segment(d: int, n: int, lo: int, hi: int) -> _Sieve:
     odd = np.zeros(width, dtype=np.int8)
     nonin = np.zeros(width, dtype=bool) if n & 1 else None
     R = None if n & 1 else np.ones(width)
-    multi = None if n & 1 else np.zeros(width, dtype=bool)
     for p, code in zip(primes, codes):
         # starts[k - 1] is the first i with p**k dividing lo + i.
         starts = []
@@ -249,14 +262,12 @@ def _factor_segment(d: int, n: int, lo: int, hi: int) -> _Sieve:
             if code != _INERT:
                 nonin[starts[0] :: p] = True
             continue
-        if code == _SPLIT and len(starts) > 1:
-            multi[starts[1] :: p * p] = True
         # Each m gets the factor of its own exponent of p, written level by level.
         f = np.full(len(range(starts[0], width, p)), _bound_factor(p, code, 1, n))
         for k, s in enumerate(starts[1:], 2):
             f[(s - starts[0]) // p :: p ** (k - 1)] = _bound_factor(p, code, k, n)
         R[starts[0] :: p] *= f
-    return _Sieve(primes, codes, acc, count, odd, nonin, R, multi)
+    return _Sieve(primes, codes, acc, count, odd, nonin, R)
 
 
 def _odd_inert_message(d: int, N: int) -> str:
@@ -266,6 +277,89 @@ def _odd_inert_message(d: int, N: int) -> str:
         if e & 1 and _classify(d, p) is SplitClass.INERT
     ]
     return f"inert prime with odd exponent in norm {N} (d={d}): (p, e) = {odd}"
+
+
+def _trial_divide(rem: np.ndarray, primes: list[int]):
+    """Rows (i, p, e) with p**e exactly dividing rem[i], for an int64 array of
+    products of the increasing primes.
+
+    The entries left are tested against a block of primes at once, with
+    blocks as long as _TRIAL_CELLS allows, so few entries take many primes
+    per step.  Exponents come from repeated division of whole arrays.  After
+    a block ending at P, an entry whose remainder is below P*P is 1 or a
+    prime and leaves; the loop ends when no entry is left.  Sorted stably by
+    i, each i's rows come in increasing p.
+    """
+    primes = np.asarray(primes, dtype=np.int64)
+    idx, rem = np.arange(rem.size), rem.copy()
+    # Empty first entries keep every concatenation below typed.
+    hit_i, hit_p, hit_e = [idx[:0]], [rem[:0]], [rem[:0]]
+    last_i, last_p = [idx[:0]], [rem[:0]]  # the prime, or 1, an entry leaves with
+    at = 0
+    while idx.size and at < primes.size:
+        block = primes[at : at + max(1, _TRIAL_CELLS // idx.size)]
+        at += block.size
+        r, c = np.nonzero(rem[:, None] % block == 0)  # r increasing, then p
+        if r.size:
+            p = block[c]
+            q = rem[r] // p
+            e = np.ones(r.size, dtype=np.int64)
+            while (more := q % p == 0).any():
+                q[more] //= p[more]
+                e += more
+            # Divide each entry by the p**e of its rows, rem[r] // q.
+            first = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+            rem[r[first]] //= np.multiply.reduceat(rem[r] // q, first)
+            hit_i.append(idx[r])
+            hit_p.append(p)
+            hit_e.append(e)
+        done = rem < block[-1] * block[-1]
+        if done.any():
+            last_i.append(idx[done])
+            last_p.append(rem[done])
+            idx, rem = idx[~done], rem[~done]
+    last_i, last_p = np.concatenate(last_i), np.concatenate(last_p)
+    prime = last_p > 1
+    i = np.concatenate(hit_i + [last_i[prime]])
+    p = np.concatenate(hit_p + [last_p[prime]])
+    e = np.concatenate(hit_e + [np.ones(int(prime.sum()), dtype=np.int64)])
+    return i, p, e
+
+
+def _geom_array(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """geom(x, k) elementwise, for x >= 2."""
+    return (x ** (k + 1) - 1) // (x - 1)
+
+
+def _profiles_divide(n: int, norms: np.ndarray, i, p, e, code) -> np.ndarray:
+    """For even n, whether norms[j]**(n/2) divides prod(M_q) over the primes q of norms[j].
+
+    Rows (i, p, e, code), sorted by i, factor norms[j] as the p**e with i = j.
+    M_q is q's chain product over every exponent profile (Filter, above).
+    Exact: int64 when n = 2 and every norm is below 2**31, Python integers
+    otherwise.
+    """
+    half = n >> 1
+    small = n == 2 and (not norms.size or int(norms.max()) < 2**31)
+    dtype = np.int64 if small else object
+    # One factor per profile: a = 0..e//2 for a split p, a = 0 otherwise.
+    k = np.where(code == _SPLIT, (e >> 1) + 1, 1)
+    row = np.repeat(np.arange(i.size), k)
+    a = np.arange(row.size) - np.repeat(np.cumsum(k) - k, k)
+    inert = code[row] == _INERT
+    x = p[row].astype(dtype) ** np.where(inert, n, half)
+    f = _geom_array(x, a) * _geom_array(x, np.where(inert, e[row] >> 1, e[row] - a))
+    c = i[row]
+    mod = norms.astype(dtype) ** half
+    f %= mod[c]
+    # Candidate c's factors, its j-th ones for all c at once.
+    rank = np.arange(c.size) - np.searchsorted(c, c)
+    prod = np.ones(norms.size, dtype=dtype)
+    for j in range(int(rank.max()) + 1 if rank.size else 0):
+        at = rank == j
+        cj = c[at]
+        prod[cj] = prod[cj] * f[at] % mod[cj]
+    return prod % mod == 0
 
 
 def _filter(d: int, n: int, lo: int, hi: int, uniq: np.ndarray, counts: np.ndarray):
@@ -303,36 +397,30 @@ def _filter(d: int, n: int, lo: int, hi: int, uniq: np.ndarray, counts: np.ndarr
         R = sv.R[rows]
         with np.errstate(under="ignore"):
             R[left] *= 1.0 + big[left].astype(np.float64) ** -(n >> 1)
-        keep = (R >= 2 * (1 - _TAU)) & (sv.multi[rows] | (np.abs(R - np.rint(R)) <= _TAU * R))
+        keep = R >= 2 * (1 - _TAU)
 
-    # Each candidate's factors, by trial division of the candidates alone.
-    # Once the sieve part left, rem, is below p*p it is 1 or a prime.
+    # The candidates' factors: trial division of their sieve parts, then the
+    # prime above the sieve; for even n only those passing the exact test stay.
     cand = np.flatnonzero(keep)
-    factors: list[list[tuple[int, int, int]]] = [[] for _ in cand]
-    idx, rem = np.arange(cand.size), acc[cand]
-    code_of = dict(zip(sv.primes, sv.codes))
-    for p, code in zip(sv.primes, sv.codes):
-        done = rem < p * p
-        if done.any():
-            for i, r in zip(idx[done].tolist(), rem[done].tolist()):
-                if r > 1:
-                    factors[i].append((r, 1, code_of[r]))
-            idx, rem = idx[~done], rem[~done]
-            if not idx.size:
-                break
-        hit = np.flatnonzero(rem % p == 0)
-        quotients = []
-        for i, m in zip(idx[hit].tolist(), rem[hit].tolist()):
-            m, e = m // p, 1
-            while m % p == 0:
-                m, e = m // p, e + 1
-            factors[i].append((p, e, code))
-            quotients.append(m)
-        rem[hit] = quotients
-    for i, (b, code) in enumerate(zip(big[cand].tolist(), big_codes[cand].tolist())):
-        if b > 1:
-            factors[i].append((b, 1, code))
-    return list(zip(uniq[cand].tolist(), factors))
+    i, p, e = _trial_divide(acc[cand], sv.primes)
+    above = np.flatnonzero(big[cand] > 1)
+    i = np.concatenate((i, above))
+    p = np.concatenate((p, big[cand[above]]))
+    e = np.concatenate((e, np.ones(above.size, dtype=np.int64)))
+    order = np.argsort(i, kind="stable")
+    i, p, e = i[order], p[order], e[order]
+    code = _classify_primes(d, p)
+    if n & 1:
+        passed = np.ones(cand.size, dtype=bool)
+    else:
+        passed = _profiles_divide(n, uniq[cand], i, p, e, code)
+    factors: dict[int, list[tuple[int, int, int]]] = {
+        j: [] for j in np.flatnonzero(passed).tolist()
+    }
+    at = passed[i]
+    for j, row in zip(i[at].tolist(), zip(p[at].tolist(), e[at].tolist(), code[at].tolist())):
+        factors[j].append(row)
+    return list(zip(uniq[cand[passed]].tolist(), factors.values()))
 
 
 def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import sympy
@@ -101,6 +102,45 @@ def divisors_by_full_scan(z: QuadInt) -> list[QuadInt]:
     return out
 
 
+def brute_deltas(d: int, bound: int, ns) -> dict[tuple[int, int], list[SurdSum]]:
+    """sum(|w|**n) over the canonical divisors w of z, for every canonical z of
+    norm <= bound and every n in ns, keyed by z's doubled coordinates (x, y).
+
+    The elements are listed once, by coords_by_rows, and bucketed by norm; z
+    is tried for exact division only by the buckets whose norm divides
+    norm(z).  Each sum adds coefficients in a dict and becomes one SurdSum.
+    """
+    ns = list(ns)
+    bucket: dict[int, list[QuadInt]] = defaultdict(list)
+    for x, y, m in coords_by_rows(d, 1, bound + 1):
+        bucket[m].append(QuadInt(d, x, y, half=True))
+    divisor_norms: dict[int, list[int]] = defaultdict(list)
+    for k in sorted(bucket):
+        for m in range(k, bound + 1, k):
+            divisor_norms[m].append(k)
+    out = {}
+    for m, zs in bucket.items():
+        for z in zs:
+            counts = Counter(
+                k for k in divisor_norms[m] for w in bucket[k] if try_div(z, w) is not None
+            )
+            out[(z.x, z.y)] = _power_sums(tuple(sorted(counts.items())), tuple(ns))
+    return out
+
+
+@functools.cache
+def _power_sums(counts: tuple[tuple[int, int], ...], ns: tuple[int, ...]) -> list[SurdSum]:
+    """sum(c * sqrt(k)**n) over the (k, c) in counts, one SurdSum per n in ns."""
+    sums = []
+    for n in ns:
+        terms: dict[int, Fraction] = defaultdict(Fraction)
+        for k, c in counts:
+            for r, coeff in abs_power_surd(k, n).terms.items():
+                terms[r] += c * coeff
+        sums.append(SurdSum(terms))
+    return sums
+
+
 def sqrt_reduced(m: int) -> tuple[int, int]:
     """sqrt(m) = c * sqrt(r) with r squarefree, by trial division."""
     c = r = 1
@@ -189,3 +229,26 @@ def flagged_norms(d: int, n: int, factored) -> set[int]:
         if any(v >= 2 * denom and v % denom == 0 for v in values):
             out.add(m)
     return out
+
+
+def profiles_divide(d: int, n: int, fac: dict[int, int]) -> bool:
+    """For even n, whether m**(n/2) divides prod(M_q) over the primes of m = prod(p**e).
+
+    M_q is the product of p's divisor chain over every exponent profile, with
+    q = p**(n/2): geom(p**n, e/2) for an inert p, geom(q, e) for a ramified
+    p, and prod(geom(q, a) * geom(q, e - a), a = 0..e//2) for a split p.  An
+    element of norm m with an integer n-index has its chain product divide
+    that of the norm, so m**(n/2) must divide it.
+    """
+    m = math.prod(p**e for p, e in fac.items())
+    product = 1
+    for p, e in fac.items():
+        c = sympy_class(d, p)
+        q = p ** (n // 2)
+        if c is SplitClass.INERT:
+            product *= _geom(p**n, e // 2)
+        elif c is SplitClass.RAMIFIED:
+            product *= _geom(q, e)
+        else:
+            product *= math.prod(_geom(q, a) * _geom(q, e - a) for a in range(e // 2 + 1))
+    return product % m ** (n // 2) == 0

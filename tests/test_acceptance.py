@@ -16,7 +16,6 @@ from fractions import Fraction
 from quadperfect import (
     QuadInt,
     SplitClass,
-    SurdSum,
     canonicalize,
     classify_prime,
     congruence_identities,
@@ -44,7 +43,7 @@ from quadperfect import (
 from quadperfect.scan import _coords
 
 from conftest import ALL_DS, make_rng, random_element, random_element_norm_le
-from oracles import abs_power_surd, divisors_by_candidate_norms
+from oracles import brute_deltas
 
 
 @contextmanager
@@ -123,15 +122,12 @@ def test_criterion_5_oracle_equivalence():
         for d in ALL_DS:
             ctx = ring(d)
             xs, ys, _ = _coords(d, 1, 10**4 + 1)
+            brute = brute_deltas(d, 10**4, range(-3, 5))
             mismatches = 0
             for x, y in zip(xs.tolist(), ys.tolist()):
                 z = QuadInt(d, x, y, half=True)
-                norms = [w.norm() for w in divisors_by_candidate_norms(z)]
-                for n in range(-3, 5):
-                    brute = SurdSum()
-                    for nw in norms:
-                        brute = brute + abs_power_surd(nw, n)
-                    if delta_n(ctx, z, n) != brute:
+                for n, want in zip(range(-3, 5), brute[(x, y)]):
+                    if delta_n(ctx, z, n) != want:
                         mismatches += 1
             assert mismatches == 0, f"d={d}: {mismatches} discrepancies"
 

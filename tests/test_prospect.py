@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import re
 
 import pytest
@@ -150,6 +151,47 @@ class TestScanCache:
         assert shard_tasks
         assert three.hits == plain.hits
         assert [str(z) for z in three.hits] == ["-7+1s", "7+1s"]
+
+
+class TestPoolDecision:
+    """Below prospect._POOL_MIN_BOUND a scan runs its shards in the calling
+    process at the one-worker width; from it up, workers > 1 start a pool
+    that is gone when the scan returns."""
+
+    def test_small_scan_starts_no_pool(self, shard_tasks, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a scan below the bound started a pool")
+
+        monkeypatch.setattr(prospect, "ProcessPoolExecutor", no_pool)
+        bound = 200_000
+        assert bound < prospect._POOL_MIN_BOUND
+        hits = direct_scan(-1, 2, bound, workers=2)
+        assert (QuadInt(-1, 9, 3), 2) in hits
+        # The counted task saw every shard, each as wide as with one worker.
+        assert [(lo, hi) for _, _, lo, hi in shard_tasks] == [
+            (1, 50_002), (50_002, 100_003), (100_003, 150_004), (150_004, 200_001),
+        ]  # fmt: skip
+
+    def test_large_scan_joins_its_pool(self, monkeypatch):
+        pools = []
+
+        class Counted(prospect.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(prospect, "ProcessPoolExecutor", Counted)
+        prospect._scan.cache_clear()
+        try:
+            pooled = direct_scan(-11, 1, prospect._POOL_MIN_BOUND, workers=2)
+            assert len(pools) == 1
+            assert multiprocessing.active_children() == []
+            # One worker runs the same scan in process, with the same hits.
+            assert direct_scan(-11, 1, prospect._POOL_MIN_BOUND, workers=1) == pooled
+            assert len(pools) == 1
+        finally:
+            prospect._scan.cache_clear()
+        assert (QuadInt.from_int(-11, 28), 2) in pooled
 
 
 class TestCheckpoint:

@@ -17,6 +17,7 @@ from oracles import (
     coords_by_rows,
     elements_with_norm,
     flagged_norms,
+    profiles_divide,
     sympy_class,
 )
 
@@ -133,7 +134,7 @@ def _bound(d: int, n: int, fac: dict[int, int]) -> Fraction:
 
 class TestFactorSegment:
     """The sieve's accumulators, integer by integer, against sympy.factorint:
-    sieve part times cofactor, element count, odd-inert count, both flags and R."""
+    sieve part times cofactor, element count, odd-inert count, the odd-n flag and R."""
 
     @pytest.mark.parametrize("lo,hi", [(1, 1000), (999_000, 1_000_000), (10**8 - 500, 10**8)])
     def test_complete_factorizations(self, lo, hi):
@@ -158,10 +159,22 @@ class TestFactorSegment:
                         1 for p, e in sieved.items() if cls[p] is SplitClass.INERT and e & 1
                     ), (d, m)
                 assert odd_n.nonin[i] == any(c is not SplitClass.INERT for c in cls.values())
-                assert even_n.multi[i] == any(
-                    cls[p] is SplitClass.SPLIT and e >= 2 for p, e in sieved.items()
-                ), (d, m)
                 assert even_n.R[i] == pytest.approx(float(_bound(d, 2, sieved)), rel=1e-13)
+
+
+class TestTrialDivide:
+    @pytest.mark.parametrize("lo,hi", [(1, 20_000), (10**9, 10**9 + 2_000)])
+    def test_sieve_parts_match_factorint(self, lo, hi):
+        """The rows of every sieve part acc, sorted stably by entry, spell out its
+        factorization in increasing primes: one prime per block at first, many
+        once few entries are left."""
+        sv = _factor_segment(-1, 1, lo, hi)
+        i, p, e = scan._trial_divide(sv.acc, sv.primes)
+        order = np.argsort(i, kind="stable")
+        got: list[list[tuple[int, int]]] = [[] for _ in range(sv.acc.size)]
+        for j, pj, ej in zip(i[order].tolist(), p[order].tolist(), e[order].tolist()):
+            got[j].append((pj, ej))
+        assert got == [sorted(sympy.factorint(a).items()) for a in sv.acc.tolist()]
 
 
 class TestPrimeTableCache:
@@ -230,6 +243,36 @@ class TestFilter:
                     assert [scan._CLASSES[c] for _, _, c in factors] == [
                         sympy_class(d, p) for p, _, _ in factors
                     ]
+
+    def test_n2_keeps_only_norms_whose_profiles_divide(self, d, factored_windows, deep_windows):
+        """At n = 2 the kept norms lie between the flagged ones and those m with
+        m | prod(M_q), on windows below 2**31, straddling it and above 1e9."""
+        windows = [*factored_windows.items(), *((w, f.items()) for w, f in deep_windows.items())]
+        for (lo, hi), factored in windows:
+            factored = list(factored)
+            uniq, counts = np.unique(_coords(d, lo, hi)[2], return_counts=True)
+            kept = {N for N, _ in scan._filter(d, 2, lo, hi, uniq, counts)}
+            divisible = {m for m, fac in factored if m > 1 and profiles_divide(d, 2, fac)}
+            assert flagged_norms(d, 2, factored) <= kept <= divisible, f"[{lo}, {hi})"
+
+    @pytest.mark.parametrize("n,wide", [(2, False), (2, True), (4, False)])
+    def test_profile_test_matches_oracle(self, d, n, wide):
+        """_profiles_divide equals the oracle on the norms in [2, 3000), whatever
+        their float bound: in int64 at n = 2, and in Python integers once the
+        norms of [2**31, 2**31 + 100) join them (wide) or n > 2."""
+        windows = [(2, 3000)] + [(2**31, 2**31 + 100)] * wide
+        norms = sorted({m for w in windows for m in _coords(d, *w)[2].tolist()})
+        fac = [sympy.factorint(m) for m in norms]
+        rows = [(j, p, e) for j, f in enumerate(fac) for p, e in sorted(f.items())]
+        i, p, e = (np.array(col, dtype=np.int64) for col in zip(*rows))
+        code = scan._classify_primes(d, p)
+        got = scan._profiles_divide(n, np.array(norms, dtype=np.int64), i, p, e, code)
+        assert got.tolist() == [profiles_divide(d, n, f) for f in fac]
+
+    def test_few_n2_norms_survive(self):
+        lo, hi = 1, 10**5
+        uniq, counts = np.unique(_coords(-7, lo, hi)[2], return_counts=True)
+        assert len(scan._filter(-7, 2, lo, hi, uniq, counts)) <= 30
 
     def test_reference_flags_a_known_hit(self, factored_windows):
         # The inclusion above is not vacuous: 9+3i of norm 90 has I_2 = 2.
