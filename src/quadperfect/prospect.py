@@ -204,22 +204,32 @@ def _shards(ranges: list[tuple[int, int]], width: int) -> list[tuple[int, int]]:
 
 
 def scan_shard_task(args) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """One shard, args = (d, n, lo, hi), as scan.scan_shard_task runs it."""
+    """One shard, args = (d, n, lo, hi): (lo, hi, the hits of scan.scan_shard)."""
     from . import scan
 
-    return scan.scan_shard_task(args)
+    d, n, lo, hi = args
+    return lo, hi, scan.scan_shard(d, n, lo, hi)
+
+
+class _Workers:
+    """A worker count the scan cache does not key on: any two compare equal,
+    as the count changes how a scan runs, not what it returns."""
+
+    def __init__(self, count: int) -> None:
+        self.count = count
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Workers)
+
+    def __hash__(self) -> int:
+        return 0
 
 
 @lru_cache(maxsize=32)
-def _scan(d: int, n: int, bound: int, nworkers: int, checkpoint: str | None) -> tuple:
+def _scan(d: int, n: int, bound: int, workers: _Workers, checkpoint: str | None) -> tuple:
     """Drive the shards of one scan; checkpointed shards are read, new ones appended."""
-    # The scan, and numpy with it, loads here rather than with the package,
-    # and before the pool forks, so the workers inherit it.
-    from . import scan  # noqa: F401
-
     done, found = _load_checkpoint(checkpoint, d, n, bound)
-    if bound < _POOL_MIN_BOUND:
-        nworkers = 1
+    nworkers = 1 if bound < _POOL_MIN_BOUND else workers.count
     width = max(min(bound // max(1, 4 * nworkers) + 1, 1_000_000), 1 << 15)
     tasks = [(d, n, lo, hi) for lo, hi in _shards(_gaps(bound, done), width)]
     parallel = nworkers > 1 and len(tasks) > 1
@@ -243,14 +253,21 @@ def direct_scan(
     """Every canonical element with norm <= bound and integer n-index t >= 2, with t.
 
     The (element, t) pairs are ordered by (norm, x, y).  Without a checkpoint
-    the result may come from the cache of recent scans; a checkpointed scan
-    always reads and extends its file.
+    the result may come from the cache of recent scans, whatever the worker
+    count; a checkpointed scan always reads and extends its file.  The bound
+    must lie below 2**61, where 4*N leaves int64.
     """
     ring(d)
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    scan = _scan if checkpoint is None else _scan.__wrapped__
-    return list(scan(d, n, bound, worker_count(workers), checkpoint))
+    # The scan, and numpy with it, loads here rather than with the package,
+    # and before a pool forks, so the workers inherit it.
+    from . import scan
+
+    if bound >= scan._HI_MAX:
+        raise ValueError(f"scan needs a bound below 2**61, where 4*N fits in int64; got {bound}")
+    run = _scan if checkpoint is None else _scan.__wrapped__
+    return list(run(d, n, bound, _Workers(worker_count(workers)), checkpoint))
 
 
 def search_t_perfect(

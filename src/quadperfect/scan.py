@@ -21,24 +21,25 @@ shard has at most one prime factor P above them, of exponent 1.  Strided
 slice updates over the multiples of each p**k fill 1-D arrays as wide as the
 shard: the product acc of the sieve-prime powers dividing m (so P = m // acc
 when m > acc), the predicted element count prod(e + 1) over split p, the
-number of inert p with an odd exponent, and for odd n a flag for a split or
-ramified p, for even n the float bound R below.  Everything the filter reads
-is multiplicative in m, so nothing keeps a list of primes per integer.  The
-filter reads the arrays at the distinct norms and folds in each norm's P;
-only the norms that pass its float or all-inert test are then factored, by
-one trial division that tests the entries left against a block of sieve
-primes at a time.
+number of inert p with an odd exponent, and for even n the float bound R
+below.  Everything the filter reads is multiplicative in m, so nothing keeps
+a list of primes per integer.  The filter reads the arrays at the distinct
+norms and folds in each norm's P.
 
 Filter.  Primes are classified by splitting's residue table, one gather at
 p mod |D| for primes of any size: the sieve primes once per shard, the
-primes P once per distinct norm, the primes of the candidates once more.
+primes P once per distinct norm, the primes of the even-n survivors of the
+float test once more.  The filter returns the candidate norms.
 
 - Odd n: over a split or ramified p, |pi| = sqrt(p) and the chains of the
   primes above p multiply to A + B*sqrt(p) with A, B > 0.  In the product,
   the coefficient of the square root of all such primes together is a
   product of positive B's that nothing cancels, as square roots of distinct
   squarefree integers are linearly independent: the norm holds no integer
-  index.  A norm is a candidate when all its primes are inert.
+  index.  A norm is a candidate when all its primes are inert: once the
+  count audit has passed, when its element count is 1 (a split prime makes
+  it at least 2) and the ring's one ramified prime (2 if d != 1 mod 4, else
+  -d) does not divide it.  An inert P fails the odd-exponent audit.
 - Even n: with q = p**(n/2), an inert p contributes S(p**-n, e/2) to I_n, a
   ramified p S(1/q, e), and a split p S(1/q, a) * S(1/q, e - a), where a is
   the smaller exponent on the two primes above p.  Expanded, the split factor
@@ -53,10 +54,11 @@ primes P once per distinct norm, the primes of the candidates once more.
   with profile a.  Each c_q divides M_q, the product of c_q over every
   profile a = 0..e//2 (M_q = c_q when the prime has one profile), so an
   integer index forces N**(n/2) to divide prod(M_q).  One check covers
-  every profile.  The trial division of the float test's survivors gives
+  every profile.  One trial division of the float test's survivors, which
+  tests the entries left against a block of sieve primes at a time, gives
   the exponents; the product is taken mod N**(n/2) in int64 when n = 2 and
   N < 2**31, so no product of two residues leaves int64, and in Python
-  integers otherwise.  Only the norms that pass get factor lists.
+  integers otherwise.
 
 Why tau = 1e-9 is safe.  Let u = 2**-53 and grant pow (Python's and numpy's)
 4 ulp.  Each x = p**-m (m = n or n/2, so x <= 2**-m <= 1/2) then carries a
@@ -72,11 +74,11 @@ any N < 2**63 (omega <= 15).  So an element with integer index t >= 2, whose
 norm has exact R >= t, leaves the float R at least 2*(1 - tau): the float
 test never drops it, and the divisibility test is exact.
 
-Decide.  At a candidate norm, factored by the same trial division, the
-exact chains, abundancy._chain (built once per prime power and shard), are
-multiplied out in plain integers: odd n has
-I_n = prod geom(p**n, e/2) / sqrt(N)**n, even n one value prod(chains) /
-N**(n/2) per choice of a for each split p with e >= 2.  When some value is
+Decide, in plain integers through the library.  An odd-n candidate is m*m
+with every prime of m inert, and I_n = classical_sigma(m, n) / m**n.  For
+even n, factor_integer and _classify give N's primes and classes, and the
+exact chains, abundancy._chain (built once per prime power and shard), one
+value prod(chains) / N**(n/2) per choice of a for each split p with e >= 2.  When some value is
 an integer t >= 2, abundancy.index_n decides every element of the norm.
 
 Audits.  Three checks abort the scan: an inert prime with an odd norm
@@ -95,7 +97,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .abundancy import InternalInconsistency, _chain, index_n
+from .abundancy import InternalInconsistency, _chain, classical_sigma, index_n
 from .ring import QuadInt, ring
 from .splitting import _RESIDUE_CLASSES, SplitClass, _classify, factor_integer, primes_up_to
 
@@ -211,7 +213,6 @@ class _Sieve(NamedTuple):
     acc: np.ndarray  # int64: the product of the sieve-prime powers dividing m
     count: np.ndarray  # int32: prod(e + 1) over the split sieve primes
     odd: np.ndarray  # int8: how many inert sieve primes have an odd exponent
-    nonin: np.ndarray | None  # odd n: m has a split or ramified sieve prime
     R: np.ndarray | None  # even n: the float bound R over the sieve primes
 
 
@@ -238,7 +239,6 @@ def _factor_segment(d: int, n: int, lo: int, hi: int) -> _Sieve:
     acc = np.ones(width, dtype=np.int64)
     count = np.ones(width, dtype=np.int32)
     odd = np.zeros(width, dtype=np.int8)
-    nonin = np.zeros(width, dtype=bool) if n & 1 else None
     R = None if n & 1 else np.ones(width)
     for p, code in zip(primes, codes):
         # starts[k - 1] is the first i with p**k dividing lo + i.
@@ -258,16 +258,14 @@ def _factor_segment(d: int, n: int, lo: int, hi: int) -> _Sieve:
                 count[s::step] *= k + 1
             elif code == _INERT:  # adds 1 for an odd exponent, 0 for an even one
                 odd[s::step] += 1 if k & 1 else -1
-        if nonin is not None:
-            if code != _INERT:
-                nonin[starts[0] :: p] = True
+        if R is None:
             continue
         # Each m gets the factor of its own exponent of p, written level by level.
         f = np.full(len(range(starts[0], width, p)), _bound_factor(p, code, 1, n))
         for k, s in enumerate(starts[1:], 2):
             f[(s - starts[0]) // p :: p ** (k - 1)] = _bound_factor(p, code, k, n)
         R[starts[0] :: p] *= f
-    return _Sieve(primes, codes, acc, count, odd, nonin, R)
+    return _Sieve(primes, codes, acc, count, odd, R)
 
 
 def _odd_inert_message(d: int, N: int) -> str:
@@ -363,10 +361,11 @@ def _profiles_divide(n: int, norms: np.ndarray, i, p, e, code) -> np.ndarray:
 
 
 def _filter(d: int, n: int, lo: int, hi: int, uniq: np.ndarray, counts: np.ndarray):
-    """Audit the distinct norms uniq of [lo, hi) and flag those that may hold an integer index.
+    """Audit the distinct norms uniq of [lo, hi); return those that may hold
+    an integer index, as an increasing int64 array (Filter, above).
 
-    counts[i] is the number of elements of norm uniq[i].  Returns the
-    candidates as (norm, [(p, e, class code), ...]) in increasing norm.
+    counts[i] is the number of elements of norm uniq[i].  Odd n keeps a norm
+    of count 1 that the ring's ramified prime does not divide.
     """
     sv = _factor_segment(d, n, lo, hi)
     rows = uniq - lo
@@ -391,17 +390,15 @@ def _filter(d: int, n: int, lo: int, hi: int, uniq: np.ndarray, counts: np.ndarr
         )
 
     if n & 1:
-        # A prime above the sieve is split or ramified, as the audit passed.
-        keep = ~sv.nonin[rows] & (big == 1)
-    else:
-        R = sv.R[rows]
-        with np.errstate(under="ignore"):
-            R[left] *= 1.0 + big[left].astype(np.float64) ** -(n >> 1)
-        keep = R >= 2 * (1 - _TAU)
+        ramified = 2 if d % 4 != 1 else -d
+        return uniq[(counts == 1) & (uniq % ramified != 0)]
 
-    # The candidates' factors: trial division of their sieve parts, then the
-    # prime above the sieve; for even n only those passing the exact test stay.
-    cand = np.flatnonzero(keep)
+    R = sv.R[rows]
+    with np.errstate(under="ignore"):
+        R[left] *= 1.0 + big[left].astype(np.float64) ** -(n >> 1)
+    cand = np.flatnonzero(R >= 2 * (1 - _TAU))
+    # The survivors' factors: trial division of their sieve parts, then the
+    # prime above the sieve.
     i, p, e = _trial_divide(acc[cand], sv.primes)
     above = np.flatnonzero(big[cand] > 1)
     i = np.concatenate((i, above))
@@ -409,18 +406,8 @@ def _filter(d: int, n: int, lo: int, hi: int, uniq: np.ndarray, counts: np.ndarr
     e = np.concatenate((e, np.ones(above.size, dtype=np.int64)))
     order = np.argsort(i, kind="stable")
     i, p, e = i[order], p[order], e[order]
-    code = _classify_primes(d, p)
-    if n & 1:
-        passed = np.ones(cand.size, dtype=bool)
-    else:
-        passed = _profiles_divide(n, uniq[cand], i, p, e, code)
-    factors: dict[int, list[tuple[int, int, int]]] = {
-        j: [] for j in np.flatnonzero(passed).tolist()
-    }
-    at = passed[i]
-    for j, row in zip(i[at].tolist(), zip(p[at].tolist(), e[at].tolist(), code[at].tolist())):
-        factors[j].append(row)
-    return list(zip(uniq[cand[passed]].tolist(), factors.values()))
+    norms = uniq[cand]
+    return norms[_profiles_divide(n, norms, i, p, e, _classify_primes(d, p))]
 
 
 def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
@@ -441,26 +428,22 @@ def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
     # Each (norm_pi, e) chain is built once per shard; the cache goes with it.
     chain = functools.cache(lambda norm_pi, e: _chain(norm_pi, e, n)[0])
 
-    for N, factors in _filter(d, n, lo, hi, uniq, counts):
-        value = 1
-        choices: list[list[int]] = []
-        for p, e, code in factors:
-            # Only candidates get here: every inert e is even, and for odd n
-            # every prime is inert, so each chain is rational.
-            if code == _INERT:
-                value *= chain(p * p, e >> 1)
-            elif code == _RAMIFIED or e == 1:  # a split e = 1 has one profile
-                value *= chain(p, e)
-            else:  # one value per profile a = 0..e//2 of the primes above p
-                ends = [chain(p, a) for a in range(e + 1)]
-                choices.append([ends[a] * ends[e - a] for a in range(e // 2 + 1)])
-        # Only inert primes remain for odd n, so N is a perfect square.
-        denom = math.isqrt(N) ** n if n & 1 else N ** (n >> 1)
-        if not choices and (value < 2 * denom or value % denom):
-            continue  # the common case, ruled out without building a set
-        values = [value]
-        for chains in choices:
-            values = [v * f for v in values for f in chains]
+    for N in _filter(d, n, lo, hi, uniq, counts).tolist():
+        if n & 1:  # every prime of N is inert, of even exponent: N = m*m
+            m = math.isqrt(N)
+            values, denom = [classical_sigma(m, n)], m**n
+        else:  # one value per choice of a profile a = 0..e//2 for each split p
+            values, denom = [1], N ** (n >> 1)
+            for p, e in factor_integer(N).factors:
+                cls = _classify(d, p)
+                if cls is SplitClass.INERT:  # e is even, so the chain is rational
+                    chains = [chain(p * p, e >> 1)]
+                elif cls is SplitClass.RAMIFIED:
+                    chains = [chain(p, e)]
+                else:
+                    ends = [chain(p, a) for a in range(e + 1)]
+                    chains = [ends[a] * ends[e - a] for a in range(e // 2 + 1)]
+                values = [v * f for v in values for f in chains]
         want = {v // denom for v in values if v >= 2 * denom and v % denom == 0}
         if not want:
             continue
@@ -481,8 +464,3 @@ def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
             )
     return hits
 
-
-def scan_shard_task(args) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """Pool-friendly wrapper: args = (d, n, lo, hi)."""
-    d, n, lo, hi = args
-    return lo, hi, scan_shard(d, n, lo, hi)

@@ -82,6 +82,11 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert f"{path}:1" in proc.stderr and "delete the file" in proc.stderr
 
+    def test_bound_past_int64_is_two(self):
+        proc = run_cli("search", "--d", "-1", "--n", "2", "--t", "2", "--bound", str(2**61))
+        assert proc.returncode == 2
+        assert "2**61" in proc.stderr
+
     def test_t_below_two_is_two(self):
         for n in ("1", "2"):
             proc = run_cli("search", "--d", "-1", "--n", n, "--t", "1", "--bound", "100")
@@ -309,6 +314,21 @@ class TestLedgerConcurrency:
         records = read_ledger(path)
         assert len(records) == workers * per_worker
         assert all(r["elem"] == "9+3s" for r in records)
+
+
+class TestNumpyFree:
+    def test_index_and_factor_load_no_numpy(self):
+        # Only a scan needs numpy; the exact commands start without it.
+        script = (
+            "import sys, quadperfect, quadperfect.cli\n"
+            "assert quadperfect.cli.main(['index', '--d', '-1', '9+3i', '--n', '2']) == 0\n"
+            "assert quadperfect.cli.main(['factor', '--d', '-7', '(7+3s)/2']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=600
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestInProcessMain:

@@ -140,6 +140,24 @@ class TestScanCache:
         assert direct_scan(-1, 2, 200, checkpoint=str(path)) == first
         assert shard_tasks
 
+    def test_worker_count_is_not_part_of_the_key(self, shard_tasks):
+        first = direct_scan(-1, 2, 200_000, workers=1)
+        assert len(shard_tasks) == 4
+        shard_tasks.clear()
+        assert direct_scan(-1, 2, 200_000, workers=2) == first
+        assert shard_tasks == []
+
+    def test_bound_past_int64_raises_before_any_shard(self, shard_tasks, monkeypatch):
+        # Building the shard list alone for such a bound would exhaust memory.
+        def no_shards(*args):
+            raise AssertionError("the shard list was built")
+
+        monkeypatch.setattr(prospect, "_shards", no_shards)
+        for bound in (2**61, 2**61 + 1, 2**64):
+            with pytest.raises(ValueError, match=r"2\*\*61"):
+                direct_scan(-1, 2, bound)
+        assert shard_tasks == []
+
     def test_t3_resumes_from_t2_checkpoint(self, shard_tasks, tmp_path):
         path = str(tmp_path / "scan.ckpt")
         two = search_powerfully(ring(-7), 2, 2, 2000, checkpoint=path)

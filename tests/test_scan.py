@@ -134,7 +134,7 @@ def _bound(d: int, n: int, fac: dict[int, int]) -> Fraction:
 
 class TestFactorSegment:
     """The sieve's accumulators, integer by integer, against sympy.factorint:
-    sieve part times cofactor, element count, odd-inert count, the odd-n flag and R."""
+    sieve part times cofactor, element count, odd-inert count and R."""
 
     @pytest.mark.parametrize("lo,hi", [(1, 1000), (999_000, 1_000_000), (10**8 - 500, 10**8)])
     def test_complete_factorizations(self, lo, hi):
@@ -158,7 +158,6 @@ class TestFactorSegment:
                     assert sv.odd[i] == sum(
                         1 for p, e in sieved.items() if cls[p] is SplitClass.INERT and e & 1
                     ), (d, m)
-                assert odd_n.nonin[i] == any(c is not SplitClass.INERT for c in cls.values())
                 assert even_n.R[i] == pytest.approx(float(_bound(d, 2, sieved)), rel=1e-13)
 
 
@@ -225,24 +224,34 @@ class TestFilter:
     def test_keeps_every_norm_the_scalar_test_flags(self, d, n, factored_windows):
         for (lo, hi), factored in factored_windows.items():
             uniq, counts = np.unique(_coords(d, lo, hi)[2], return_counts=True)
-            kept = {N for N, _ in scan._filter(d, n, lo, hi, uniq, counts)}
+            kept = set(scan._filter(d, n, lo, hi, uniq, counts).tolist())
             flagged = flagged_norms(d, n, factored)
             assert flagged <= kept, f"[{lo}, {hi}) n={n}: dropped {sorted(flagged - kept)[:5]}"
 
     def test_past_two_to_the_31(self, d, deep_windows):
-        """Windows straddling 2**31 and above 1e9 keep every flagged norm, and each
-        kept norm carries its complete factorization with sympy's classes."""
+        """Windows straddling 2**31 and above 1e9 keep every flagged norm."""
         for (lo, hi), factored in deep_windows.items():
             uniq, counts = np.unique(_coords(d, lo, hi)[2], return_counts=True)
             for n in (1, 2, 3, 4, 5):
-                kept = scan._filter(d, n, lo, hi, uniq, counts)
+                kept = set(scan._filter(d, n, lo, hi, uniq, counts).tolist())
                 flagged = flagged_norms(d, n, factored.items())
-                assert flagged <= {N for N, _ in kept}, f"[{lo}, {hi}) n={n}"
-                for N, factors in kept:
-                    assert {p: e for p, e, _ in factors} == factored[N]
-                    assert [scan._CLASSES[c] for _, _, c in factors] == [
-                        sympy_class(d, p) for p, _, _ in factors
-                    ]
+                assert flagged <= kept, f"[{lo}, {hi}) n={n}"
+
+    def test_odd_n_keeps_exactly_the_all_inert_norms(self, d, factored_windows, deep_windows):
+        """For odd n the kept norms are the norms all of whose primes sympy calls
+        inert, below 2**31, straddling it and above 1e9."""
+        windows = [*factored_windows.items(), *((w, f.items()) for w, f in deep_windows.items())]
+        for (lo, hi), factored in windows:
+            factored = dict(factored)
+            uniq, counts = np.unique(_coords(d, lo, hi)[2], return_counts=True)
+            inert = {
+                m
+                for m in uniq.tolist()
+                if all(sympy_class(d, p) is SplitClass.INERT for p in factored[m])
+            }
+            for n in (1, 3, 5):
+                kept = scan._filter(d, n, lo, hi, uniq, counts).tolist()
+                assert kept == sorted(inert), f"[{lo}, {hi}) n={n}"
 
     def test_n2_keeps_only_norms_whose_profiles_divide(self, d, factored_windows, deep_windows):
         """At n = 2 the kept norms lie between the flagged ones and those m with
@@ -251,7 +260,7 @@ class TestFilter:
         for (lo, hi), factored in windows:
             factored = list(factored)
             uniq, counts = np.unique(_coords(d, lo, hi)[2], return_counts=True)
-            kept = {N for N, _ in scan._filter(d, 2, lo, hi, uniq, counts)}
+            kept = set(scan._filter(d, 2, lo, hi, uniq, counts).tolist())
             divisible = {m for m, fac in factored if m > 1 and profiles_divide(d, 2, fac)}
             assert flagged_norms(d, 2, factored) <= kept <= divisible, f"[{lo}, {hi})"
 
