@@ -76,10 +76,11 @@ test never drops it, and the divisibility test is exact.
 
 Decide, in plain integers through the library.  An odd-n candidate is m*m
 with every prime of m inert, and I_n = classical_sigma(m, n) / m**n.  For
-even n, factor_integer and _classify give N's primes and classes, and the
-exact chains, abundancy._chain (built once per prime power and shard), one
-value prod(chains) / N**(n/2) per choice of a for each split p with e >= 2.  When some value is
-an integer t >= 2, abundancy.index_n decides every element of the norm.
+even n, factor_integer and _classify give N's primes and classes; the exact
+chains (abundancy._chain, built once per prime power and shard) give one
+value prod(chains) / N**(n/2) per choice of a profile a for each split p.
+When some value is an integer t >= 2, abundancy.index_n decides every
+element of the norm.
 
 Audits.  Three checks abort the scan: an inert prime with an odd norm
 exponent, an element count per norm other than the product of (split

@@ -204,9 +204,22 @@ class TestPoolDecision:
             pooled = direct_scan(-11, 1, prospect._POOL_MIN_BOUND, workers=2)
             assert len(pools) == 1
             assert multiprocessing.active_children() == []
-            # One worker runs the same scan in process, with the same hits.
+            # One worker runs the same scan in process, with the same hits.  The
+            # cache would serve the pooled result, so it is cleared, and the
+            # counted task shows that every shard ran here.
+            prospect._scan.cache_clear()
+            ran = []
+            real = prospect.scan_shard_task
+
+            def counted(task):
+                ran.append(task)
+                return real(task)
+
+            monkeypatch.setattr(prospect, "scan_shard_task", counted)
             assert direct_scan(-11, 1, prospect._POOL_MIN_BOUND, workers=1) == pooled
             assert len(pools) == 1
+            assert ran[0][2] == 1 and ran[-1][3] == prospect._POOL_MIN_BOUND + 1
+            assert all(a[3] == b[2] for a, b in zip(ran, ran[1:]))
         finally:
             prospect._scan.cache_clear()
         assert (QuadInt.from_int(-11, 28), 2) in pooled
