@@ -102,8 +102,8 @@ from .abundancy import InternalInconsistency, _chain, classical_sigma, index_n
 from .ring import QuadInt, ring
 from .splitting import _RESIDUE_CLASSES, SplitClass, _classify, factor_integer, primes_up_to
 
-# Class codes of _classify_primes; _CLASSES[code] is the SplitClass.
-from .splitting import _CLASSES, _INERT, _RAMIFIED, _SPLIT  # noqa: F401
+# Class codes of _classify_primes.
+from .splitting import _INERT, _RAMIFIED, _SPLIT
 
 # Relative tolerance of the even-n float filter (derivation above).
 _TAU = 1e-9
@@ -210,7 +210,6 @@ class _Sieve(NamedTuple):
     """
 
     primes: list[int]  # the sieve primes, increasing
-    codes: list[int]  # their class codes
     acc: np.ndarray  # int64: the product of the sieve-prime powers dividing m
     count: np.ndarray  # int32: prod(e + 1) over the split sieve primes
     odd: np.ndarray  # int8: how many inert sieve primes have an odd exponent
@@ -266,7 +265,7 @@ def _factor_segment(d: int, n: int, lo: int, hi: int) -> _Sieve:
         for k, s in enumerate(starts[1:], 2):
             f[(s - starts[0]) // p :: p ** (k - 1)] = _bound_factor(p, code, k, n)
         R[starts[0] :: p] *= f
-    return _Sieve(primes, codes, acc, count, odd, R)
+    return _Sieve(primes, acc, count, odd, R)
 
 
 def _odd_inert_message(d: int, N: int) -> str:

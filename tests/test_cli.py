@@ -246,14 +246,6 @@ class TestVerifyCommand:
         assert proc.returncode == 0
         assert proc.stdout.count("PASS") == 2
 
-    def test_absence_past_the_cross_check_limit_did_not_run(self):
-        # Above 1e8 the direct scan is skipped: neither PASS nor FAIL, exit 4.
-        proc = run_cli("verify", "absence", "--bound", "100000001")
-        assert proc.returncode == 4
-        assert proc.stdout.count("NOT RUN") == 2
-        assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
-        assert "up to bound 100000000" in proc.stdout
-
 
 def _append_worker(args) -> None:
     path, worker_id, count = args

