@@ -21,7 +21,6 @@ import fcntl
 import math
 import os
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
@@ -225,6 +224,8 @@ def _scan(d: int, n: int, bound: int, workers: _Workers, checkpoint: str | None)
 
     Shards are laid out as they run, so memory does not grow with the bound.
     """
+    from concurrent.futures import ProcessPoolExecutor  # only scans pay for multiprocessing
+
     done, found = _load_checkpoint(checkpoint, d, n, bound)
     gaps = _gaps(bound, done)
     nworkers = 1 if bound < _POOL_MIN_BOUND else workers.count

@@ -18,11 +18,12 @@ import math
 import random
 from enum import Enum
 from functools import cache, lru_cache
+from itertools import compress
 from typing import NamedTuple
 
 from .ring import UFD_DS, QuadInt, RingCtx, canonicalize, ring
 
-_TRIAL_LIMIT = 10**6
+_TRIAL_LIMIT = 1 << 11
 
 
 class SplitClass(Enum):
@@ -62,7 +63,7 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return tuple(i for i in range(limit + 1) if sieve[i])
+    return tuple(compress(range(limit + 1), sieve))
 
 
 def is_probable_prime(n: int) -> bool:
@@ -135,24 +136,25 @@ def _iroot(m: int, k: int) -> int:
 
 
 def _perfect_root(m: int) -> tuple[int, int] | None:
-    """(r, k) with r**k == m for a prime k, when m has every prime factor above 10**6.
+    """(r, k) with r**k == m for a prime k, when m has every prime factor above _TRIAL_LIMIT.
 
-    Such an m can only be a k-th power for k <= log(m) / log(10**6), which
-    bit_length // 19 bounds from above.
+    With 2**b <= _TRIAL_LIMIT, such an m exceeds 2**(b*k) when it is a k-th
+    power, so k <= m.bit_length() // b.
     """
-    for k in primes_up_to(m.bit_length() // 19):
+    for k in primes_up_to(m.bit_length() // (_TRIAL_LIMIT.bit_length() - 1)):
         r = _iroot(m, k)
         if r**k == m:
             return r, k
     return None
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 10)  # a decision chain factors the same norms back to back
 def factor_integer(n: int) -> IntegerFactorization:
-    """Factor n >= 1: trial division through 10**6, then Brent rho on survivors.
+    """Factor n >= 1: trial division by the primes up to _TRIAL_LIMIT, then Brent rho.
 
-    A survivor that is a perfect power is replaced by its root first: rho
-    cannot split p**k for a prime p this large in feasible time.
+    A cofactor below p*p is 1 or prime.  One that outlasts the table is
+    certified by Miller-Rabin, replaced by its root if a perfect power (rho
+    would need about sqrt(p) steps for p**k), or split by rho.
     """
     if n < 1:
         raise ValueError("factor_integer wants a positive integer")
@@ -160,6 +162,8 @@ def factor_integer(n: int) -> IntegerFactorization:
     rem = n
     for p in primes_up_to(_TRIAL_LIMIT):
         if p * p > rem:
+            if rem > 1:  # no prime up to its square root divides it
+                found[rem] = 1
             break
         if rem % p == 0:
             e = 0
@@ -167,13 +171,8 @@ def factor_integer(n: int) -> IntegerFactorization:
                 rem //= p
                 e += 1
             found[p] = e
-            # Cheap early exit once the cofactor is certified prime.
-            if rem > 1 and p > 256 and is_probable_prime(rem):
-                found[rem] = found.get(rem, 0) + 1
-                rem = 1
-                break
-    if rem > 1:
-        stack = [(rem, 1)]  # (cofactor, multiplicity)
+    else:
+        stack = [(rem, 1)] if rem > 1 else []  # (cofactor, multiplicity)
         while stack:
             m, mult = stack.pop()
             if is_probable_prime(m):
@@ -265,7 +264,7 @@ def prime_above(ctx: RingCtx, p: int) -> QuadInt:
     return _prime_above(ctx.d, p)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 8)
 def _prime_above(d: int, p: int) -> QuadInt:
     if p == 2:
         cand = {

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import multiprocessing
 import re
@@ -226,7 +227,7 @@ class TestPoolDecision:
         def no_pool(*args, **kwargs):
             raise AssertionError("a scan below the bound started a pool")
 
-        monkeypatch.setattr(prospect, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         bound = 200_000
         assert bound < prospect._POOL_MIN_BOUND
         hits = direct_scan(-1, 2, bound, workers=2)
@@ -239,12 +240,12 @@ class TestPoolDecision:
     def test_large_scan_joins_its_pool(self, monkeypatch):
         pools = []
 
-        class Counted(prospect.ProcessPoolExecutor):
+        class Counted(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(prospect, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
         prospect._scan.cache_clear()
         try:
             pooled = direct_scan(-11, 1, prospect._POOL_MIN_BOUND, workers=2)
@@ -273,12 +274,12 @@ class TestPoolDecision:
     def test_pool_takes_its_shards_in_batches(self, monkeypatch, tmp_path):
         batches = []
 
-        class Counted(prospect.ProcessPoolExecutor):
+        class Counted(concurrent.futures.ProcessPoolExecutor):
             def map(self, fn, tasks):
                 batches.append(len(tasks))
                 return super().map(fn, tasks)
 
-        monkeypatch.setattr(prospect, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
         monkeypatch.setattr(prospect, "scan_shard_task", _empty_shard)
         path = tmp_path / "scan.ckpt"
         bound = 2 * 10**8  # 200 shards of 1e6: 128 for two workers, then 72

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from quadperfect import (
     ring,
     sqrt_mod,
 )
+from quadperfect.splitting import _TRIAL_LIMIT, _perfect_root
 
 from conftest import ALL_DS, make_rng
 from oracles import sympy_class
@@ -184,6 +187,10 @@ _big_prime = st.integers(2**32, 2**66).map(sympy.nextprime)
 
 
 class TestSympyOracle:
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 2039, _TRIAL_LIMIT, 10**5 + 3])
+    def test_primes_up_to(self, limit):
+        assert primes_up_to(limit) == tuple(sympy.primerange(limit + 1))
+
     @_oracle
     @given(st.one_of(st.integers(-5, 10**6), _around_2_64, _around_2_64.map(sympy.nextprime)))
     def test_is_probable_prime(self, n):
@@ -233,3 +240,50 @@ class TestSympyOracle:
                 prime_above(ctx, p)
         else:
             assert prime_above(ctx, p).norm() == p
+
+
+# Past the trial table, factors come from Miller-Rabin, _perfect_root and rho.
+_ABOVE = [2053, 2063, 2069, 2081, 2083]
+_ROOT_BITS = _TRIAL_LIMIT.bit_length() - 1
+
+
+class TestPastTheTrialTable:
+    def test_first_primes_above_the_table(self):
+        assert _ABOVE == [sympy.nextprime(_TRIAL_LIMIT, i) for i in range(1, 6)]
+        assert sympy.prevprime(_ABOVE[0]) <= _TRIAL_LIMIT
+
+    def test_products_of_two(self):
+        for i, p in enumerate(_ABOVE):
+            for q in _ABOVE[i + 1 :]:
+                for n in (p * q, p * p * q, p * q * q, 2 * 3 * p * q):
+                    assert dict(factor_integer(n).factors) == sympy.factorint(n), n
+
+    def test_prime_powers_up_to_the_root_bound(self):
+        # The bound m.bit_length() // _ROOT_BITS equals k at p**k for each prime
+        # k tried here, so _perfect_root must reach exactly k.
+        for p in _ABOVE:
+            for k in range(1, 24):
+                n = p**k
+                assert factor_integer(n).factors == ((p, k),), n
+                if sympy.isprime(k):
+                    assert n.bit_length() // _ROOT_BITS == k
+                    assert _perfect_root(n) == (p, k)
+            assert factor_integer(p**5 * 3**7).factors == ((3, 7), (p, 5))
+
+    def test_neighbours_of_the_limit_squared(self):
+        edges = (_TRIAL_LIMIT**2, sympy.prevprime(_TRIAL_LIMIT) ** 2, _ABOVE[0] ** 2)
+        for edge in edges:
+            for n in range(edge - 64, edge + 65):
+                assert dict(factor_integer(n).factors) == sympy.factorint(n), n
+
+    @_oracle
+    @given(
+        st.one_of(
+            st.integers(1, 4 * _TRIAL_LIMIT**2),
+            st.lists(
+                st.integers(_TRIAL_LIMIT, 999_982).map(sympy.nextprime), min_size=1, max_size=4
+            ).map(math.prod),
+        )
+    )
+    def test_against_sympy(self, n):
+        assert dict(factor_integer(n).factors) == sympy.factorint(n)
