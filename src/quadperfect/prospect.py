@@ -8,11 +8,12 @@ agree; their agreement is recorded on the report.
 
 A direct scan returns every element of integer n-index t >= 2 with its t,
 and each search keeps its own t.  Scans shard the norm range, run shards
-across processes (capped by the QP_WORKERS environment variable) from norm
-bound 10**6 up and in the calling process below it, and can checkpoint
-completed shards, hits of every t included, to a newline-delimited file so
-interrupted scans resume.  The last 32 uncheckpointed results are
-cached: searches for t = 2 and t = 3 at one (d, n, bound) often follow each other.
+across processes (capped by the QP_WORKERS environment variable, the CPU
+count and the shard count) from norm bound 10**6 up and in the calling
+process below it, and can checkpoint completed shards, hits of every t
+included, to a newline-delimited file so interrupted scans resume.  The last
+32 uncheckpointed results are cached: searches for t = 2 and t = 3 at one
+(d, n, bound) often follow each other.
 """
 
 from __future__ import annotations
@@ -54,10 +55,9 @@ def worker_count(requested: int | None = None) -> int:
         return requested
     env = os.environ.get("QP_WORKERS")
     if env:
-        value = int(env)
-        if value < 1:
+        if not env.strip().isdecimal() or int(env) < 1:
             raise ValueError("QP_WORKERS must be a positive integer")
-        return value
+        return int(env)
     return os.cpu_count() or 1
 
 
@@ -228,10 +228,12 @@ def _scan(d: int, n: int, bound: int, workers: _Workers, checkpoint: str | None)
 
     done, found = _load_checkpoint(checkpoint, d, n, bound)
     gaps = _gaps(bound, done)
-    nworkers = 1 if bound < _POOL_MIN_BOUND else workers.count
-    width = max(min(bound // max(1, 4 * nworkers) + 1, 1_000_000), 1 << 15)
+    nworkers = 1 if bound < _POOL_MIN_BOUND else min(workers.count, os.cpu_count() or 1)
+    width = max(min(bound // (4 * nworkers) + 1, 1_000_000), 1 << 15)
     tasks = ((d, n, lo, hi) for lo, hi in _shards(gaps, width))
-    parallel = nworkers > 1 and sum(len(range(lo, hi, width)) for lo, hi in gaps) > 1
+    # A fork pool starts every worker at its first submit: no more than there are shards.
+    nworkers = min(nworkers, sum(len(range(lo, hi, width)) for lo, hi in gaps))
+    parallel = nworkers > 1
     with ProcessPoolExecutor(nworkers) if parallel else nullcontext() as pool:
         if parallel:  # each map call holds one batch of 64 shards per worker
             batches = iter(lambda: list(islice(tasks, 64 * nworkers)), [])

@@ -17,14 +17,15 @@ sum(|pi|**(-j*n), j = 0..a); write geom(q, k) = 1 + q + ... + q**k and
 S(x, k) = 1 + x + ... + x**k.
 
 Sieve.  Only the primes p with p*p < hi are sieved, so each integer m of the
-shard has at most one prime factor P above them, of exponent 1.  Strided
-slice updates over the multiples of each p**k fill 1-D arrays as wide as the
-shard: the product acc of the sieve-prime powers dividing m (so P = m // acc
-when m > acc), the predicted element count prod(e + 1) over split p, the
-number of inert p with an odd exponent, and for even n the float bound R
-below.  Everything the filter reads is multiplicative in m, so nothing keeps
-a list of primes per integer.  The filter reads the arrays at the distinct
-norms and folds in each norm's P.
+shard has at most one prime factor P above them, of exponent 1.  Each prime
+power p**k < hi is walked once: its multiples, whose exponent of p goes from
+k - 1 to k, take one strided update in every 1-D array as wide as the shard:
+the product acc of the sieve-prime powers dividing m (so P = m // acc when
+m > acc), the predicted element count prod(e + 1) over split p, the number
+of inert p with an odd exponent, and for even n the float bound R below.
+Everything the filter reads is multiplicative in m, so nothing keeps a list
+of primes per integer.  The filter reads the arrays at the distinct norms
+and folds in each norm's P.
 
 Filter.  Primes are classified by splitting's residue table, one gather at
 p mod |D| for primes of any size: the sieve primes once per shard, the
@@ -45,9 +46,11 @@ float test once more.  The filter returns the candidate norms.
   the smaller exponent on the two primes above p.  Expanded, the split factor
   is sum(c_s * q**-s, s = 0..e) with c_s = 1 + min(s, a, e - s), which grows
   with a, so a = e//2 gives the largest index R of any element of the norm.
-  The filter computes R in float64 and keeps a norm N > 1 when
-  R >= 2*(1 - tau) (an integer index above 1 is at least 2) and N passes the
-  divisibility test.
+  From exponent k - 1 to k, one S(x, j - 1) in p's factor becomes S(x, j),
+  a ratio (1 - x**(j+1)) / (1 - x**j): j = k for a ramified p, ceil(k/2)
+  for a split p, k/2 for an inert p at even k (odd k leaves it).  The filter
+  computes R in float64 and keeps a norm N > 1 when R >= 2*(1 - tau) (an
+  integer index above 1 is at least 2) and N passes the divisibility test.
 - Divisibility test, even n.  Every element of norm N has index
   prod(c_q) / N**(n/2), with c_q = geom(p**n, e/2) for an inert p,
   geom(q, e) for a ramified p and geom(q, a) * geom(q, e - a) for a split p
@@ -62,17 +65,17 @@ float test once more.  The filter returns the candidate norms.
 
 Why tau = 1e-9 is safe.  Let u = 2**-53 and grant pow (Python's and numpy's)
 4 ulp.  Each x = p**-m (m = n or n/2, so x <= 2**-m <= 1/2) then carries a
-relative error of at most 5*u (one more for rounding p to a float), so an
-absolute error below 2.5*u, and x**(k+1) an absolute error below 4.5*u.
-S(x, k) = (1 - x**(k+1)) / (1 - x) divides two values >= 1/2 whose absolute
-errors stay below 5*u and 3*u, so S is off by a relative 17*u at most, and a
-sieve prime's factor (two S and a product, computed once per exponent) by
-35*u.  The prime P above the sieve has e = 1 and contributes 1 + P**-(n/2),
-one power and one sum: off by 3.5*u.  R, one more product per prime, is then
-off by 36*u*omega(N): below 3.3e-14 for N < 1e8 (omega <= 8) and 6e-14 for
-any N < 2**63 (omega <= 15).  So an element with integer index t >= 2, whose
-norm has exact R >= t, leaves the float R at least 2*(1 - tau): the float
-test never drops it, and the divisibility test is exact.
+relative error of at most 5*u (one more for rounding p to a float), so x**j
+an absolute one below 2**-j * (5*j + 4)*u: 4.5*u at j = 1, 3.5*u after.  A
+level's ratio divides 1 - x**(j+1) >= 3/4, off by 4.5*u, by 1 - x**j >= 1/2,
+off by 5.5*u (one more for each subtraction): 6*u and 11*u relative, so with
+the division and the multiply into R each level is off by 19*u at most.  An
+m < 2**63 takes at most Omega(m) <= 62 levels.  The prime P above the sieve
+has e = 1 and contributes 1 + P**-(n/2), one power and one sum: off by
+3.5*u.  R is then off by 19*u*Omega(N) + 3.5*u, below 1.4e-13 for any
+N < 2**63.  So an element with integer index t >= 2, whose norm has exact
+R >= t, leaves the float R at least 2*(1 - tau): the float test never drops
+it, and the divisibility test is exact.
 
 Decide, in plain integers through the library.  An odd-n candidate is m*m
 with every prime of m inert, and I_n = classical_sigma(m, n) / m**n.  For
@@ -216,18 +219,6 @@ class _Sieve(NamedTuple):
     R: np.ndarray | None  # even n: the float bound R over the sieve primes
 
 
-def _geom_ratio(x: float, k: int) -> float:
-    """S(x, k) = 1 + x + ... + x**k, for 0 <= x <= 1/2."""
-    return (1.0 - x ** (k + 1)) / (1.0 - x)
-
-
-def _bound_factor(p: int, code: int, e: int, n: int) -> float:
-    """The factor of p**e in the even-n bound R: one S-product."""
-    x = float(p) ** -(n if code == _INERT else n >> 1)
-    a = e if code == _RAMIFIED else e >> 1
-    return _geom_ratio(x, a) * _geom_ratio(x, e - a if code == _SPLIT else 0)
-
-
 def _factor_segment(d: int, n: int, lo: int, hi: int) -> _Sieve:
     """Sieve [lo, hi) into the 1-D accumulators the filter reads at power n."""
     width = hi - lo
@@ -241,30 +232,22 @@ def _factor_segment(d: int, n: int, lo: int, hi: int) -> _Sieve:
     odd = np.zeros(width, dtype=np.int8)
     R = None if n & 1 else np.ones(width)
     for p, code in zip(primes, codes):
-        # starts[k - 1] is the first i with p**k dividing lo + i.
-        starts = []
-        pk = p
+        x = float(p) ** -(n if code == _INERT else n >> 1)
+        # Level k: the multiples of p**k, whose exponent of p goes from k - 1 to k.
+        k, pk = 1, p
         while pk < hi and (s := -lo % pk) < width:
-            starts.append(s)
-            pk *= p
-        if not starts:
-            continue
-        for k, s in enumerate(starts, 1):
-            step = p**k
-            acc[s::step] *= p
+            acc[s::pk] *= p
             if code == _SPLIT:  # the factor k of count becomes k + 1
                 if k > 1:
-                    count[s::step] //= k
-                count[s::step] *= k + 1
+                    count[s::pk] //= k
+                count[s::pk] *= k + 1
             elif code == _INERT:  # adds 1 for an odd exponent, 0 for an even one
-                odd[s::step] += 1 if k & 1 else -1
-        if R is None:
-            continue
-        # Each m gets the factor of its own exponent of p, written level by level.
-        f = np.full(len(range(starts[0], width, p)), _bound_factor(p, code, 1, n))
-        for k, s in enumerate(starts[1:], 2):
-            f[(s - starts[0]) // p :: p ** (k - 1)] = _bound_factor(p, code, k, n)
-        R[starts[0] :: p] *= f
+                odd[s::pk] += 1 if k & 1 else -1
+            # One S(x, j - 1) of p's factor in R becomes S(x, j) (Filter, above).
+            if R is not None and (code != _INERT or not k & 1):
+                j = k if code == _RAMIFIED else (k + 1) >> 1
+                R[s::pk] *= (1.0 - x ** (j + 1)) / (1.0 - x**j)
+            k, pk = k + 1, pk * p
     return _Sieve(primes, acc, count, odd, R)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from enum import Enum
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple
 
@@ -56,7 +56,7 @@ class IntegerFactorization(NamedTuple):
     factors: tuple[tuple[int, int], ...]
 
 
-@cache
+@lru_cache(maxsize=8)  # a scan's shards reuse one table per power of two
 def primes_up_to(limit: int) -> tuple[int, ...]:
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"
@@ -64,6 +64,9 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
     return tuple(compress(range(limit + 1), sieve))
+
+
+_TRIAL_PRIMES = primes_up_to(_TRIAL_LIMIT)
 
 
 def is_probable_prime(n: int) -> bool:
@@ -160,7 +163,7 @@ def factor_integer(n: int) -> IntegerFactorization:
         raise ValueError("factor_integer wants a positive integer")
     found: dict[int, int] = {}
     rem = n
-    for p in primes_up_to(_TRIAL_LIMIT):
+    for p in _TRIAL_PRIMES:
         if p * p > rem:
             if rem > 1:  # no prime up to its square root divides it
                 found[rem] = 1

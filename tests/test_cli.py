@@ -328,6 +328,12 @@ class TestInProcessMain:
         assert main(["classify", "--d", "-1", "5"]) == 0
         assert main(["classify", "--d", "-5", "5"]) == 2
 
+    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_bad_qp_workers_is_two(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("QP_WORKERS", value)
+        assert main(["search", "--d", "-1", "--n", "1", "--t", "2", "--bound", "100"]) == 2
+        assert "error: QP_WORKERS must be a positive integer" in capsys.readouterr().err
+
     def test_search_mismatch_is_one(self, monkeypatch, capsys, tmp_path):
         # The direct scan claims an element the integer reduction never finds.
         monkeypatch.setattr(

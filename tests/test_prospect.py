@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import multiprocessing
+import os
 import re
 import tracemalloc
 
@@ -127,9 +128,10 @@ class TestSearchPowerfully:
         assert worker_count() == 1
         hits = direct_scan(-1, 2, 90)
         assert (QuadInt(-1, 9, 3), 2) in hits
-        monkeypatch.setenv("QP_WORKERS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
+        for bad in ("0", "two", "1.5"):
+            monkeypatch.setenv("QP_WORKERS", bad)
+            with pytest.raises(ValueError, match="QP_WORKERS must be a positive integer"):
+                worker_count()
 
     def test_rejects_t_below_two(self):
         with pytest.raises(ValueError, match="t must be"):
@@ -221,7 +223,8 @@ class TestScanCache:
 class TestPoolDecision:
     """Below prospect._POOL_MIN_BOUND a scan runs its shards in the calling
     process at the one-worker width; from it up, workers > 1 start a pool
-    that is gone when the scan returns."""
+    that is gone when the scan returns.  Tests that need a 2-process pool
+    report two CPUs, so they hold on one CPU too."""
 
     def test_small_scan_starts_no_pool(self, shard_tasks, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -238,6 +241,7 @@ class TestPoolDecision:
         ]  # fmt: skip
 
     def test_large_scan_joins_its_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         pools = []
 
         class Counted(concurrent.futures.ProcessPoolExecutor):
@@ -281,6 +285,7 @@ class TestPoolDecision:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
         monkeypatch.setattr(prospect, "scan_shard_task", _empty_shard)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         path = tmp_path / "scan.ckpt"
         bound = 2 * 10**8  # 200 shards of 1e6: 128 for two workers, then 72
         assert direct_scan(-1, 1, bound, workers=2, checkpoint=str(path)) == []
@@ -289,6 +294,49 @@ class TestPoolDecision:
         spans = [(r["norm_lo"], r["norm_hi"]) for r in map(parse_checkpoint_line, lines)]
         assert spans[0][0] == 1 and spans[-1][1] == bound + 1
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+    @pytest.mark.parametrize(
+        "cpus,workers,size,shards",
+        [
+            (4, 10**4, 4, 16),  # the CPU count caps the pool and sets the width
+            (64, 10**4, 31, 31),  # 31 shards of the minimum width cap it
+            (64, 3, 3, 12),
+            (1, 10**4, None, 4),  # one CPU runs the shards in process
+        ],
+    )
+    def test_pool_is_capped_by_cpus_and_shards(self, monkeypatch, cpus, workers, size, shards):
+        # A stand-in executor records its size and maps in process, so no
+        # process starts, whatever the requested count.
+        sizes, ran = [], []
+
+        class Serial:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        def counted(task):
+            ran.append(task)
+            return _empty_shard(task)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Serial)
+        monkeypatch.setattr(prospect, "scan_shard_task", counted)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        prospect._scan.cache_clear()
+        try:
+            assert direct_scan(-1, 1, prospect._POOL_MIN_BOUND, workers=workers) == []
+        finally:
+            prospect._scan.cache_clear()
+        assert sizes == ([] if size is None else [size])
+        assert multiprocessing.active_children() == []
+        assert len(ran) == shards and ran[-1][3] == prospect._POOL_MIN_BOUND + 1
 
 
 class TestCheckpoint:
