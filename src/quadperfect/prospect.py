@@ -1,4 +1,4 @@
-"""Searches for perfect elements, bounded theorem corroboration, and congruence checks.
+"""Searches for perfect elements, bounded theorem corroboration, and residue facts.
 
 Searching for elements whose first index equals t runs two independent
 routes at every bound: an integer reduction (enumerate integers r with
@@ -14,6 +14,9 @@ process below it, and can checkpoint completed shards, hits of every t
 included, to a newline-delimited file so interrupted scans resume.  The last
 32 uncheckpointed results are cached: searches for t = 2 and t = 3 at one
 (d, n, bound) often follow each other.
+
+The residue facts are exact: inert_residues reads the splitting table, and
+congruence_identities checks each mod-8 identity over one period.
 """
 
 from __future__ import annotations
@@ -36,9 +39,13 @@ from .abundancy import (
 )
 from .elemtext import parse_element
 from .ring import QuadInt, RingCtx, ring
-from .splitting import SplitClass, _classify, factor_integer, is_probable_prime, primes_up_to
+from .splitting import _INERT, _RESIDUE_CLASSES, SplitClass, _classify, factor_integer
+from .splitting import is_probable_prime, primes_up_to
 
 _MERSENNE_EXP_LIMIT = 127
+
+# zeta_series sums this many terms before its tail estimate.
+_ZETA_TERMS = 5000
 
 # Below this norm bound a scan runs its shards in the calling process, where
 # a 2-process pool costs about what it saves.  On 2 cores, one worker against
@@ -261,7 +268,7 @@ def direct_scan(
     The (element, t) pairs are ordered by (norm, x, y).  Without a checkpoint
     the result may come from the cache of recent scans, whatever the worker
     count; a checkpointed scan always reads and extends its file.  The bound
-    must lie below 2**61, where 4*N leaves int64.
+    must lie below 2**52, where a shard's prime table stays within 2**26.
     """
     ring(d)
     if bound < 1:
@@ -271,7 +278,7 @@ def direct_scan(
     from . import scan
 
     if bound >= scan._HI_MAX:
-        raise ValueError(f"scan needs a bound below 2**61, where 4*N fits in int64; got {bound}")
+        raise ValueError(f"scan needs a bound below 2**52 for its prime table; got {bound}")
     run = _scan if checkpoint is None else _scan.__wrapped__
     return list(run(d, n, bound, _Workers(worker_count(workers)), checkpoint))
 
@@ -388,21 +395,18 @@ def mersenne_perfects(ctx: RingCtx, p_max: int) -> SearchReport:
 # ---------------------------------------------------------------------------
 
 
-def zeta_series(s: float, terms: int = 5000) -> float:
-    """Riemann zeta by direct summation plus an integral tail estimate.
+def zeta_series(s: float) -> float:
+    """Riemann zeta by direct summation to K = _ZETA_TERMS plus an integral tail estimate.
 
     The tail below the cut K is K**(1-s)/(s-1) - K**(-s)/2 + s*K**(-s-1)/12
     with error under s*(s+1)*(s+2)*K**(-s-3)/720, far below 1e-10 for every
-    s >= 1.3 at the default cut.
+    s >= 1.3.
     """
     if s <= 1:
         raise ValueError("the series needs s > 1")
-    partial = math.fsum(k**-s for k in range(1, terms + 1))
-    tail = (
-        terms ** (1.0 - s) / (s - 1.0)
-        - 0.5 * terms**-s
-        + s * terms ** (-s - 1.0) / 12.0
-    )
+    K = _ZETA_TERMS
+    partial = math.fsum(k**-s for k in range(1, K + 1))
+    tail = K ** (1.0 - s) / (s - 1.0) - 0.5 * K**-s + s * K ** (-s - 1.0) / 12.0
     return partial + tail
 
 
@@ -439,30 +443,34 @@ def verify_bounds(n: int, samples) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def inert_residues(ctx: RingCtx, modulus: int, scan_limit: int = 10**5) -> frozenset[int]:
-    """Residue classes mod modulus whose primes are all inert, found empirically.
+def inert_residues(ctx: RingCtx, modulus: int) -> frozenset[int]:
+    """Residue classes mod modulus that hold a prime, every one of them inert.
 
-    Every prime below scan_limit is classified and bucketed by residue.  If a
-    class mixes inert with non-inert primes the modulus cannot characterize
-    inertness and a ValueError says so.
+    Read exactly from the splitting table mod |D|; let g = gcd(modulus, |D|).
+    A class r prime to modulus holds infinitely many primes (Dirichlet), their
+    residues mod |D| every t prime to |D| with t = r (mod g).  Every other
+    prime divides modulus*|D| and is taken by itself.  A class of inert and
+    other primes raises ValueError; so does a modulus above 10**6.
     """
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
-    inert_seen: dict[int, bool] = {}
-    other_seen: dict[int, bool] = {}
-    for p in primes_up_to(scan_limit):
-        r = p % modulus
-        if _classify(ctx.d, p) is SplitClass.INERT:
-            inert_seen[r] = True
-        else:
-            other_seen[r] = True
-    mixed = sorted(set(inert_seen) & set(other_seen))
+    if not 2 <= modulus <= 10**6:
+        raise ValueError("modulus must lie in 2..10**6")
+    D, table = _RESIDUE_CLASSES[ctx.d]
+    g = math.gcd(modulus, D)
+    codes: list[set[int]] = [set() for _ in range(g)]
+    for t in range(D):
+        if math.gcd(t, D) == 1:
+            codes[t % g].add(table[t])
+    mixed = [s for s in range(g) if len(codes[s]) > 1]
     if mixed:
         raise ValueError(
             f"modulus {modulus} does not separate inert primes for d={ctx.d}: "
-            f"classes {mixed} contain both kinds"
+            f"the primes of the classes {mixed} mod {g} are of both kinds"
         )
-    return frozenset(inert_seen)
+    # Unmixed classes mod g carry the character (D/.), primitive mod |D|: so
+    # g = |D|, and the primes dividing modulus*|D| divide modulus, one a class.
+    inert = {r for r in range(modulus) if codes[r % g] == {_INERT} and math.gcd(r, modulus) == 1}
+    inert.update(p % modulus for p, _ in factor_integer(modulus).factors if table[p % D] == _INERT)
+    return frozenset(inert)
 
 
 # ---------------------------------------------------------------------------
@@ -520,75 +528,45 @@ def eulerian_parity(shape: EulerianShape) -> LParity:
 
 
 def congruence_identities() -> VerificationReport:
-    """The mod-8 identities behind the parity predictor, checked exhaustively.
+    """The mod-8 identities behind the parity predictor, each proved over one period.
 
-    (i)   sigma(q**(2a)) = 6a+1 (mod 8) for primes q = 5 (mod 8), q < 1000, a <= 20;
+    (i)   sigma(q**(2a)) = 6a+1 (mod 8) for primes q = 5 (mod 8);
     (ii)  sum(p**l, l=0..k) = 6 (mod 8) when k = 1 (mod 8) and 2 (mod 8) when
-          k = 5 (mod 8), for primes p = 5 (mod 8), p < 1000, k < 100;
-    (iii) sigma(q**(2a)) = 1 (mod 8) for primes q = 7 (mod 8), q < 1000, a <= 20;
-    (iv)  2**p - 1 is never 2, 8, or 10 mod 11 for primes p < 1000.
+          k = 5 (mod 8), for primes p = 5 (mod 8);
+    (iii) sigma(q**(2a)) = 1 (mod 8) for primes q = 7 (mod 8);
+    (iv)  2**p - 1 is never 2, 8, or 10 mod 11 for primes p.
+
+    A power mod 8 depends on q mod 8 only.  Eight consecutive powers of
+    5 (mod 8), or two of 7, sum to 0 mod 8, so a in 0..3, k in {1, 5} and
+    a = 0 cover every exponent.  2**10 = 1 (mod 11), and a prime p is 2, 5 or
+    1, 3, 7, 9 mod 10.  Each period fact is checked with its cases.
     """
-    checks = []
 
     def sigma_mod8(q: int, e: int) -> int:
         return sum(pow(q, l, 8) for l in range(e + 1)) % 8
 
-    bad = [
-        (q, a)
-        for q in primes_up_to(999)
-        if q % 8 == 5
-        for a in range(1, 21)
-        if sigma_mod8(q, 2 * a) != (6 * a + 1) % 8
-    ]
-    checks.append(
-        Check(
-            "sigma(q^2a) = 6a+1 mod 8 for q = 5 mod 8",
-            not bad,
-            f"{len(bad)} counterexamples",
-        )
+    cases = (  # (name, its period fact, what one period covers, the cases it leaves)
+        (
+            "sigma(q^2a) = 6a+1 mod 8 for q = 5 mod 8", sigma_mod8(5, 7) == 0 and 6 * 4 % 8 == 0,
+            "a in 0..3", [sigma_mod8(5, 2 * a) == (6 * a + 1) % 8 for a in range(4)],
+        ),
+        (
+            "sum p^l mod 8 is 6 for k=1 mod 8 and 2 for k=5 mod 8", sigma_mod8(5, 7) == 0,
+            "k in {1, 5}", [sigma_mod8(5, 1) == 6, sigma_mod8(5, 5) == 2],
+        ),
+        (
+            "sigma(q^2a) = 1 mod 8 for q = 7 mod 8", sigma_mod8(7, 1) == 0,
+            "a = 0", [sigma_mod8(7, 0) == 1],
+        ),
+        (
+            "2^p - 1 mod 11 avoids {2, 8, 10} for prime p", pow(2, 10, 11) == 1,
+            "p = 1, 2, 3, 5, 7, 9 mod 10",
+            [(pow(2, r, 11) - 1) % 11 not in (2, 8, 10) for r in (1, 2, 3, 5, 7, 9)],
+        ),
     )
-
-    bad = [
-        (p, k)
-        for p in primes_up_to(999)
-        if p % 8 == 5
-        for k in range(1, 100)
-        if k % 8 in (1, 5)
-        and sigma_mod8(p, k) != (6 if k % 8 == 1 else 2)
-    ]
-    checks.append(
-        Check(
-            "sum p^l mod 8 is 6 for k=1 mod 8 and 2 for k=5 mod 8",
-            not bad,
-            f"{len(bad)} counterexamples",
-        )
-    )
-
-    bad = [
-        (q, a)
-        for q in primes_up_to(999)
-        if q % 8 == 7
-        for a in range(1, 21)
-        if sigma_mod8(q, 2 * a) != 1
-    ]
-    checks.append(
-        Check(
-            "sigma(q^2a) = 1 mod 8 for q = 7 mod 8",
-            not bad,
-            f"{len(bad)} counterexamples",
-        )
-    )
-
-    bad = [
-        p
-        for p in primes_up_to(999)
-        if ((1 << p) - 1) % 11 in (2, 8, 10)
-    ]
-    checks.append(
-        Check(
-            "2^p - 1 mod 11 avoids {2, 8, 10} for prime p",
-            not bad,
-            f"{len(bad)} counterexamples",
-        )
-    )
+    checks = []
+    for name, period, span, holds in cases:
+        detail = f"{holds.count(False)} counterexamples over {span}; the period "
+        detail += "holds" if period else "FAILS"
+        checks.append(Check(name, period and all(holds), detail))
     return VerificationReport(tuple(checks))

@@ -1,7 +1,9 @@
 """Norm-bounded enumeration of canonical elements with exact integer-index detection.
 
-A shard covers a norm interval [lo, hi), hi <= 2**61 so that 4*N fits in
-int64.  Candidate coordinates are laid out a block of rows y at a time, with
+A shard covers a norm interval [lo, hi) with hi <= 2**52, so that its
+sieve's prime table, the primes up to the power of two above sqrt(hi - 1),
+stays at most 2**26 wide (about 260 MB to build) and 4*N fits in int64.
+Candidate coordinates are laid out a block of rows y at a time, with
 no Python loop over rows: an exact int64 square root gives each row's range
 of x (x*x + |d|*y*y in [4*lo, 4*(hi - 1)]), the sector rules trim it, and
 np.repeat plus one arange spell out every row, so each canonical element in
@@ -115,8 +117,9 @@ _TAU = 1e-9
 # Every shard below norm 2.6e8 fits in one block and is not concatenated.
 _ROW_BLOCK = 1 << 14
 
-# The largest hi a shard takes: above it 4*(hi - 1) leaves int64.
-_HI_MAX = 2**61
+# The largest hi a shard takes.  Its prime table, primes_up_to(2**26), peaks
+# near 260 MB; near hi = 2**60 it would be 2**31 wide, 32 times as much.
+_HI_MAX = 2**52
 
 # Entries times primes that _trial_divide tests in one step.
 _TRIAL_CELLS = 1 << 14
@@ -401,7 +404,7 @@ def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
     if n < 1:
         raise ValueError("scan expects a positive power n")
     if hi > _HI_MAX:
-        raise ValueError(f"scan needs hi <= 2**61, where 4*N fits in int64; got hi = {hi}")
+        raise ValueError(f"scan needs hi <= 2**52 for its prime table; got hi = {hi}")
     ctx = ring(d)
     xs, ys, ns = _coords(d, lo, hi)
     if ns.size == 0:

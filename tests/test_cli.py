@@ -83,9 +83,10 @@ class TestExitCodes:
         assert f"{path}:1" in proc.stderr and "delete the file" in proc.stderr
 
     def test_bound_past_int64_is_two(self):
-        proc = run_cli("search", "--d", "-1", "--n", "2", "--t", "2", "--bound", str(2**61))
-        assert proc.returncode == 2
-        assert "2**61" in proc.stderr
+        for bound in (2**52, 2**61):
+            proc = run_cli("search", "--d", "-1", "--n", "2", "--t", "2", "--bound", str(bound))
+            assert proc.returncode == 2
+            assert "2**52" in proc.stderr
 
     def test_t_below_two_is_two(self):
         for n in ("1", "2"):
@@ -310,11 +311,14 @@ class TestLedgerConcurrency:
 
 class TestNumpyFree:
     def test_index_and_factor_load_no_numpy(self):
-        # Only a scan needs numpy; the exact commands start without it.
+        # Only a scan needs numpy; the exact commands, and the residue and
+        # congruence checks, run without it.
         script = (
             "import sys, quadperfect, quadperfect.cli\n"
             "assert quadperfect.cli.main(['index', '--d', '-1', '9+3i', '--n', '2']) == 0\n"
             "assert quadperfect.cli.main(['factor', '--d', '-7', '(7+3s)/2']) == 0\n"
+            "assert quadperfect.cli.main(['verify', 'residues']) == 0\n"
+            "assert quadperfect.cli.main(['verify', 'congruences']) == 0\n"
             "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
         )
         proc = subprocess.run(

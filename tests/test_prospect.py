@@ -6,6 +6,7 @@ import re
 import tracemalloc
 
 import pytest
+import sympy
 
 from quadperfect import (
     EulerianShape,
@@ -26,12 +27,15 @@ from quadperfect import (
     worker_count,
     zeta_series,
 )
-from quadperfect import prospect
+from quadperfect import SplitClass, prospect
 from quadperfect.prospect import (
     _gaps,
     format_checkpoint_line,
     parse_checkpoint_line,
 )
+
+from conftest import ALL_DS
+from oracles import sympy_class
 
 
 def _empty_shard(task):
@@ -102,8 +106,9 @@ class TestSearchTPerfect:
             raise AssertionError("the reduction ran")
 
         monkeypatch.setattr(prospect, "classical_sigma", no_reduction)
-        with pytest.raises(ValueError, match=r"2\*\*61"):
-            search_t_perfect(ring(-1), 2, 2**61)
+        for bound in (2**52, 2**61):
+            with pytest.raises(ValueError, match=r"2\*\*52"):
+                search_t_perfect(ring(-1), 2, bound)
 
 
 class TestSearchPowerfully:
@@ -181,9 +186,12 @@ class TestScanCache:
             raise AssertionError("the shards were laid out")
 
         monkeypatch.setattr(prospect, "_shards", no_shards)
-        for bound in (2**61, 2**61 + 1, 2**64):
-            with pytest.raises(ValueError, match=r"2\*\*61"):
+        for bound in (2**52, 2**61, 2**61 + 1, 2**64):
+            with pytest.raises(ValueError, match=r"2\*\*52"):
                 direct_scan(-1, 2, bound)
+        # The largest bound taken gets as far as laying out its shards.
+        with pytest.raises(AssertionError, match="laid out"):
+            direct_scan(-1, 2, 2**52 - 1)
         assert shard_tasks == []
 
     def test_shards_are_laid_out_as_they_run(self, monkeypatch):
@@ -509,11 +517,42 @@ class TestInertResidues:
         assert inert_residues(ring(-1), 4) == frozenset({3})
         assert inert_residues(ring(-3), 3) == frozenset({2})
 
-    def test_stability_when_scan_deepens(self):
-        for d, modulus in ((-11, 11), (-1, 4), (-3, 3), (-7, 7)):
-            shallow = inert_residues(ring(d), modulus, scan_limit=10**5)
-            deep = inert_residues(ring(d), modulus, scan_limit=10**6)
-            assert shallow == deep
+    def test_matches_a_sympy_sample_of_the_primes(self):
+        # Below 1e5 the primes meet every class prime to these moduli, so the
+        # sample mixes a class exactly when the modulus does not separate.
+        primes = list(sympy.primerange(10**5))
+        for d in ALL_DS:
+            D = -d if d % 4 == 1 else -4 * d
+            inert = [p for p in primes if sympy_class(d, p) is SplitClass.INERT]
+            other = [p for p in primes if sympy_class(d, p) is not SplitClass.INERT]
+            for modulus in sorted(set(range(2, 61)) | {D, 2 * D, 3 * D}):
+                seen = {p % modulus for p in inert}
+                if seen & {p % modulus for p in other}:
+                    with pytest.raises(ValueError, match="does not separate"):
+                        inert_residues(ring(d), modulus)
+                else:
+                    assert inert_residues(ring(d), modulus) == seen, (d, modulus)
+
+    def test_classes_a_small_sample_misses(self):
+        # 99991 is prime to 4: every class of it holds split and inert
+        # Gaussian primes, though below 1e5 most hold one prime or none.
+        with pytest.raises(ValueError, match="does not separate"):
+            inert_residues(ring(-1), 99_991)
+        # 63244 = 4*97*163: half of its 31104 classes prime to it, and 2,
+        # which is inert; below 1e5 most classes hold no prime.
+        assert len(inert_residues(ring(-163), 63_244)) == 31_104 // 2 + 1
+        # 10**6 = 2**6 * 5**6: the classes 3 mod 4 prime to 5; 2 ramifies and 5 splits.
+        assert len(inert_residues(ring(-1), 10**6)) == 200_000
+
+    def test_modulus_past_a_million_refused_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the classes were worked out")
+
+        monkeypatch.setattr(prospect, "factor_integer", no_work)
+        monkeypatch.setattr(prospect, "_RESIDUE_CLASSES", {})
+        for modulus in (1, 10**6 + 1, 10**18):
+            with pytest.raises(ValueError, match=r"2\.\.10\*\*6"):
+                inert_residues(ring(-1), modulus)
 
     def test_too_small_modulus_reported(self):
         with pytest.raises(ValueError, match="does not separate"):
@@ -546,6 +585,46 @@ class TestCongruences:
     def test_all_identities_hold(self):
         report = congruence_identities()
         assert report.ok, report.failures()
+
+    def test_agrees_with_brute_force(self):
+        # An independent oracle over samples: primes below 1000, a <= 20, k < 100.
+        def sigma_mod8(q, e):
+            return sum(pow(q, l, 8) for l in range(e + 1)) % 8
+
+        primes = list(sympy.primerange(1000))
+        bad = (
+            [
+                (q, a)
+                for q in primes
+                if q % 8 == 5
+                for a in range(1, 21)
+                if sigma_mod8(q, 2 * a) != (6 * a + 1) % 8
+            ],
+            [
+                (p, k)
+                for p in primes
+                if p % 8 == 5
+                for k in range(1, 100)
+                if k % 8 in (1, 5) and sigma_mod8(p, k) != (6 if k % 8 == 1 else 2)
+            ],
+            [
+                (q, a)
+                for q in primes
+                if q % 8 == 7
+                for a in range(1, 21)
+                if sigma_mod8(q, 2 * a) != 1
+            ],
+            [p for p in primes if (2**p - 1) % 11 in (2, 8, 10)],
+        )
+        report = congruence_identities()
+        assert [c.name for c in report.checks] == [
+            "sigma(q^2a) = 6a+1 mod 8 for q = 5 mod 8",
+            "sum p^l mod 8 is 6 for k=1 mod 8 and 2 for k=5 mod 8",
+            "sigma(q^2a) = 1 mod 8 for q = 7 mod 8",
+            "2^p - 1 mod 11 avoids {2, 8, 10} for prime p",
+        ]
+        assert [c.passed for c in report.checks] == [not b for b in bad]
+        assert bad == ([], [], [], [])
 
     def test_spot_values(self):
         # sigma(25) = 31 = 7 mod 8 = 6*1+1; sum_{l<=5} 5^l = 3906 = 2 mod 8;

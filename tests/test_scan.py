@@ -345,11 +345,21 @@ class TestScanShard:
             scan_shard(-1, 0, 1, 100)
 
     def test_rejects_norms_past_int64(self):
-        # Above 2**61, 4*N leaves int64; the window is refused before any
-        # array is built (a billion-wide one would need gigabytes).
-        for lo, hi in ((2**61, 2**61 + 1), (2**62, 2**62 + 10**9)):
-            with pytest.raises(ValueError, match=r"2\*\*61"):
+        # Above 2**52 the sieve's prime table passes 2**26, and above 2**61
+        # 4*N leaves int64; the window is refused before any array is built
+        # (a billion-wide one would need gigabytes).
+        for lo, hi in ((2**52, 2**52 + 1), (2**61, 2**61 + 1), (2**62, 2**62 + 10**9)):
+            with pytest.raises(ValueError, match=r"2\*\*52"):
                 scan_shard(-1, 1, lo, hi)
+
+    def test_refuses_a_prime_table_past_2_26_before_building_it(self, monkeypatch):
+        # hi = 2**52 + 10 would ask primes_up_to for 2**27.
+        def no_table(limit):
+            raise AssertionError(f"primes_up_to({limit}) was called")
+
+        monkeypatch.setattr(scan, "primes_up_to", no_table)
+        with pytest.raises(ValueError, match=r"2\*\*52"):
+            scan_shard(-1, 1, 2**52, 2**52 + 10)
 
     def test_split_square_resolution(self):
         """Norms with a squared split prime need per-element resolution; the
