@@ -7,12 +7,13 @@ distinct square roots over the rationals, structural equality after
 normalization is value equality, which is what makes "the index equals t"
 a decidable, exact predicate.
 
-delta_n is multiplicative.  Over pi**e, with N = N(pi) and geom(q, k) =
-1 + q + ... + q**k, its chain sum(|pi|**(j*n), j = 0..e) is, for n >= 0,
-geom(s**n, e) for an inert pi (N = s**2), geom(N**(n/2), e) for even n, and
-geom(N**n, e//2) + N**((n-1)/2) * geom(N**n, (e-1)//2) * sqrt(N) for odd n
-(_chain, in integers).  Pairing each divisor w of z with z/w gives
-delta_-n(z) = delta_n(z) / |z|**n, which for n >= 1 is the index index_n.
+delta_n is multiplicative; its factor over pi**e reads only N = N(pi) and e,
+which factorize.norm_profile takes from the norm's factors and z's content.
+With geom(q, k) = 1 + q + ... + q**k, the chain sum(|pi|**(j*n), j = 0..e)
+is, for n >= 0, geom(s**n, e) for an inert pi (N = s**2), geom(N**(n/2), e)
+for even n, and geom(N**n, e//2) + N**((n-1)/2) * geom(N**n, (e-1)//2) *
+sqrt(N) for odd n (_chain, in integers).  Pairing each divisor w of z with
+z/w gives delta_-n(z) = delta_n(z) / |z|**n, which for n >= 1 is index_n.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .factorize import factor_element
+from .factorize import norm_profile
 from .ring import QuadInt, RingCtx
 from .splitting import factor_integer
 
@@ -230,15 +231,14 @@ def _times_surd(terms: dict[int, int], a: int, b: int, r: int) -> dict[int, int]
 def delta_n(ctx: RingCtx, z: QuadInt, n: int) -> SurdSum:
     """Sum of |x|**n over the divisors x of z, one divisor per associate class.
 
-    Computed multiplicatively over the prime factorization; n may be any
-    integer with |n| <= 64 (negative powers give rational-coefficient surds).
+    A product of chains over the (N(pi), e) pairs of norm_profile; n may be
+    any integer with |n| <= 64 (negative powers give rational-coefficient surds).
     """
     if abs(n) > MAX_POWER:
         raise ValueError(f"|n| must be at most {MAX_POWER}")
     m = abs(n)
     terms = {1: 1}
-    for pi, e in factor_element(ctx, z).parts:
-        npi = pi.norm()
+    for npi, e in norm_profile(ctx, z):
         terms = _times_surd(terms, *_chain(npi, e, m), npi)
     if n >= 0:
         return SurdSum._raw({r: Fraction(c) for r, c in terms.items()})

@@ -91,7 +91,10 @@ Audits.  Three checks abort the scan: an inert prime with an odd norm
 exponent, an element count per norm other than the product of (split
 exponent + 1), and exact integer indices at a flagged norm other than the
 flagged values (every choice of a is held by some element).  The first two
-run vectorized over every distinct norm of the shard.
+run vectorized over every distinct norm of the shard.  index_n reads each
+element's profile a from its content, and the flagged values range over every
+a, so the third checks the content valuation against the combinatorics of
+the profiles; both sides build their chains with abundancy._chain.
 """
 
 from __future__ import annotations
@@ -434,7 +437,7 @@ def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
         if not want:
             continue
 
-        # Rare path: the exact index decides every element of this norm.
+        # Rare path: each element's exact index, read from its content, decides it.
         exact = set()
         for k in np.nonzero(ns == N)[0].tolist():
             z = QuadInt._raw(d, int(xs[k]), int(ys[k]))

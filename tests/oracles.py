@@ -179,6 +179,38 @@ def brute_delta(z: QuadInt, n: int) -> SurdSum:
     return total
 
 
+def exponents_by_division(z: QuadInt) -> dict[QuadInt, int]:
+    """The exponent of every canonical prime element dividing z != 0, by repeated exact division.
+
+    The primes of norm(z) come from sympy; the prime elements above p are the
+    canonical elements of norm p (coordinate scan, so p should be small), or
+    p itself when there are none (p inert).  Each exponent is counted by
+    dividing z again and again; the content of z is never read.
+    """
+    out = {}
+    for p in sympy.primefactors(z.norm()):
+        for pi in elements_with_norm(z.d, p) or [QuadInt.from_int(z.d, p)]:
+            a, w = 0, z
+            while (q := try_div(w, pi)) is not None:
+                w, a = q, a + 1
+            if a:
+                out[pi] = a
+    return out
+
+
+def delta_by_division(z: QuadInt, ns) -> list[SurdSum]:
+    """sum(|w|**n) over the canonical divisors w of z, for each n in ns.
+
+    Each divisor is one product of powers pi**j, j <= exponent, of the prime
+    elements of exponents_by_division (unique factorization), so the divisor
+    norms are listed from those exponents and summed as in brute_deltas.
+    """
+    norms = [1]
+    for pi, a in exponents_by_division(z).items():
+        norms = [m * pi.norm() ** j for m in norms for j in range(a + 1)]
+    return _power_sums(tuple(sorted(Counter(norms).items())), tuple(ns))
+
+
 def sympy_class(d: int, p: int) -> SplitClass:
     """How the prime p behaves in the ring of discriminant-class d, by sympy."""
     if p == 2:

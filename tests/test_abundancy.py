@@ -1,6 +1,9 @@
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadperfect import (
     QuadInt,
@@ -21,8 +24,15 @@ from quadperfect import (
     units,
 )
 
-from conftest import make_rng, random_element, random_element_norm_le
-from oracles import abs_power_surd, brute_delta
+from conftest import ALL_DS, make_rng, random_element, random_element_norm_le
+from oracles import (
+    abs_power_surd,
+    brute_delta,
+    delta_by_division,
+    elements_with_norm,
+    exponents_by_division,
+    sympy_class,
+)
 
 PROPERTY_CASES = 1000
 
@@ -147,6 +157,93 @@ class TestDelta:
                 == index_n(ctx, z, m).value * index_n(ctx, w, m).value
             )
             done += 1
+
+
+def _small_primes(d: int) -> dict[SplitClass, list[int]]:
+    """The primes below 200 by class, from sympy (each ring has split and inert ones below 200)."""
+    out = {cls: [] for cls in SplitClass}
+    for p in primes_up_to(200):
+        out[sympy_class(d, p)].append(p)
+    return out
+
+
+_SMALL_PRIMES = {d: _small_primes(d) for d in ALL_DS}
+_PROFILE_NS = (-3, -2, -1, 1, 2, 3)
+
+
+class TestDeltaAgainstDivision:
+    """delta_n of u * pi**a * conj(pi)**b * q**c * varpi**r against oracles that skip the content.
+
+    pi lies over one of the three smallest split primes (2 at d = -7), q is
+    one of the two smallest inert primes and varpi lies over the ramified prime.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.sampled_from(ALL_DS),
+        i=st.integers(0, 2),
+        j=st.integers(0, 1),
+        a=st.integers(0, 12),
+        b=st.integers(0, 12),
+        c=st.integers(0, 3),
+        r=st.integers(0, 4),
+        u=st.integers(0, 5),
+    )
+    @example(d=-7, i=0, j=0, a=1, b=1, c=1, r=0, u=0)  # 6: 2 * 3, whose half 3 breaks parity
+    @example(d=-7, i=0, j=0, a=12, b=12, c=0, r=0, u=0)
+    @example(d=-7, i=0, j=0, a=12, b=3, c=1, r=1, u=1)
+    @example(d=-1, i=0, j=0, a=5, b=5, c=2, r=4, u=3)
+    def test_matches_division_oracle(self, d, i, j, a, b, c, r, u):
+        ctx = ring(d)
+        primes = _SMALL_PRIMES[d]
+        pi = elements_with_norm(d, primes[SplitClass.SPLIT][i])[0]
+        q = QuadInt.from_int(d, primes[SplitClass.INERT][j])
+        varpi = elements_with_norm(d, primes[SplitClass.RAMIFIED][0])[0]
+        unit = units(ctx)[u % ctx.unit_count]
+        z = unit * pi**a * pi.conj() ** b * q**c * varpi**r
+        want = delta_by_division(z, _PROFILE_NS)
+        for n, value in zip(_PROFILE_NS, want):
+            assert delta_n(ctx, z, n) == value, f"z={z!r}, n={n}"
+        assert dict(factor_element(ctx, z).parts) == exponents_by_division(z)
+        if z.norm() <= 20_000:
+            for n, value in zip(_PROFILE_NS, want):
+                assert value == brute_delta(z, n), f"z={z!r}, n={n}"
+
+
+class TestInputContract:
+    """Each entry point rejects an element of another ring, and zero."""
+
+    CALLS = {
+        "delta_n": lambda ctx, z: delta_n(ctx, z, 1),
+        "index_n": lambda ctx, z: index_n(ctx, z, 1),
+        "is_n_powerfully_t_perfect": lambda ctx, z: is_n_powerfully_t_perfect(ctx, z, 1, 2),
+        "factor_element": factor_element,
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_element_of_another_ring(self, call):
+        # The d = -3 unit (1 + sqrt(-3))/2 has doubled coordinates (1, 1), not an element of Z[i].
+        for z in (QuadInt(-3, 1, 1, half=True), QuadInt(-3, 6, 0), QuadInt(-7, 3, 1, half=True)):
+            with pytest.raises(ValueError, match=f"element of d={z.d} passed with ring d=-1"):
+                call(ring(-1), z)
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_zero(self, call, ctx):
+        with pytest.raises(ValueError, match="zero"):
+            call(ctx, QuadInt.from_int(ctx.d, 0))
+
+    def test_index_makes_no_call_to_factor_element(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("factor_element called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("quadperfect"):
+                if getattr(module, "factor_element", None) is factor_element:
+                    monkeypatch.setattr(module, "factor_element", refuse)
+        ctx = ring(-1)
+        assert index_n(ctx, QuadInt(-1, 9, 3), 2).value == 2
+        assert is_n_powerfully_t_perfect(ctx, QuadInt(-1, 9, 3), 2, 2)
+        assert delta_n(ctx, QuadInt(-1, 9, 3), 2) == 180
 
 
 class TestIndex:
