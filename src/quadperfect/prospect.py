@@ -15,6 +15,17 @@ included, to a newline-delimited file so interrupted scans resume.  The last
 32 uncheckpointed results are cached: searches for t = 2 and t = 3 at one
 (d, n, bound) often follow each other.
 
+A shard's numpy arrays take 25 to 78 bytes per norm of its width (all nine
+rings, n = 1..4), so its width sets a worker's memory.  What a shard
+amortizes is the sieve's Python loop over its pi(sqrt(hi)) primes, so the
+width grows with sqrt(bound): 32*isqrt(bound), clamped to [2**18, 10**6].
+Shards near 1e8 are 320,000 wide and hold under 25 MB; from about 1e9 up
+they are 10**6 wide, where narrower ones would cost time per norm
+(BENCH_scan.json, shard_width).  Below that, a quarter of the bound per
+worker caps the width, so small scans still get four shards per worker.
+Each pool worker keeps the memory its shards free mapped for the next shard
+(_keep_freed_arrays), so narrow shards cost no extra page faults.
+
 The residue facts are exact: inert_residues reads the splitting table, and
 congruence_identities checks each mod-8 identity over one period.
 """
@@ -211,6 +222,22 @@ def scan_shard_task(args) -> tuple[int, int, list[tuple[int, int, int]]]:
     return lo, hi, scan.scan_shard(d, n, lo, hi)
 
 
+def _keep_freed_arrays() -> None:
+    """Pool initializer: let a worker reuse the memory of one shard's arrays for the next.
+
+    glibc serves a block above its mmap threshold (128 kB at start) by mmap
+    and unmaps it when freed, so each shard's arrays would fault their pages
+    in afresh.  Freeing one mapped block of up to 32 MB raises the threshold
+    to its size and the heap's trim threshold to twice that, so arrays of up
+    to 32 MB come from the heap, and up to 64 MB of it stays mapped between
+    shards (BENCH_scan.json, shard_width, has the page faults it saves).  The
+    block's pages are never touched, so they add no RSS.
+    """
+    import numpy as np
+
+    np.empty((32 << 20) - (8 << 10), dtype=np.uint8)  # header and page rounding fit in 32 MB
+
+
 class _Workers:
     """A worker count the scan cache does not key on: any two compare equal,
     as the count changes how a scan runs, not what it returns."""
@@ -236,12 +263,18 @@ def _scan(d: int, n: int, bound: int, workers: _Workers, checkpoint: str | None)
     done, found = _load_checkpoint(checkpoint, d, n, bound)
     gaps = _gaps(bound, done)
     nworkers = 1 if bound < _POOL_MIN_BOUND else min(workers.count, os.cpu_count() or 1)
-    width = max(min(bound // (4 * nworkers) + 1, 1_000_000), 1 << 15)
+    # A shard's arrays take 25-78 bytes per norm, so the width is as narrow as
+    # the sieve's per-shard loop over its pi(sqrt(hi)) primes allows: it grows
+    # with sqrt(bound), from 2**18 at 1e7 to 10**6 from about 1e9 up.
+    cap = min(10**6, max(1 << 18, 32 * math.isqrt(bound)))
+    width = max(min(bound // (4 * nworkers) + 1, cap), 1 << 15)
     tasks = ((d, n, lo, hi) for lo, hi in _shards(gaps, width))
     # A fork pool starts every worker at its first submit: no more than there are shards.
     nworkers = min(nworkers, sum(len(range(lo, hi, width)) for lo, hi in gaps))
     parallel = nworkers > 1
-    with ProcessPoolExecutor(nworkers) if parallel else nullcontext() as pool:
+    with (
+        ProcessPoolExecutor(nworkers, initializer=_keep_freed_arrays) if parallel else nullcontext()
+    ) as pool:
         if parallel:  # each map call holds one batch of 64 shards per worker
             batches = iter(lambda: list(islice(tasks, 64 * nworkers)), [])
             results = chain.from_iterable(pool.map(scan_shard_task, b) for b in batches)

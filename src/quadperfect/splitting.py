@@ -25,6 +25,10 @@ from .ring import UFD_DS, QuadInt, RingCtx, canonicalize, ring
 
 _TRIAL_LIMIT = 1 << 11
 
+# The widest prime table primes_up_to builds: a scan below 2**52 asks for at
+# most 2**26, about 260 MB at its peak.
+_TABLE_MAX = 1 << 26
+
 
 class SplitClass(Enum):
     INERT = "inert"
@@ -58,6 +62,9 @@ class IntegerFactorization(NamedTuple):
 
 @lru_cache(maxsize=8)  # a scan's shards reuse one table per power of two
 def primes_up_to(limit: int) -> tuple[int, ...]:
+    """Every prime up to limit, for a limit in 0..2**26."""
+    if not 0 <= limit <= _TABLE_MAX:
+        raise ValueError(f"primes_up_to takes a limit in 0..2**26; got {limit}")
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(limit) + 1):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import random
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from quadperfect import UFD_DS, QuadInt, ring
+from quadperfect import UFD_DS, QuadInt, prospect, ring
 
 ALL_DS = UFD_DS
 
@@ -22,6 +23,41 @@ def d(request):
 @pytest.fixture
 def ctx(d):
     return ring(d)
+
+
+@pytest.fixture
+def laid_out(monkeypatch):
+    """Scans that lay out their shards and run none of them.
+
+    The pool is an in-process stand-in that records its size and maps in
+    process, so no process starts, whatever the requested count; each shard
+    task records its (d, n, lo, hi) and returns no hits.  Yields (sizes,
+    tasks), on an empty scan cache.
+    """
+    sizes, tasks = [], []
+
+    class Serial:
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, batch):
+            return map(fn, batch)
+
+    def empty_shard(task):
+        tasks.append(task)
+        return task[2], task[3], []
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Serial)
+    monkeypatch.setattr(prospect, "scan_shard_task", empty_shard)
+    prospect._scan.cache_clear()
+    yield sizes, tasks
+    prospect._scan.cache_clear()
 
 
 def make_rng(*salt) -> random.Random:

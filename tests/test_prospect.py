@@ -295,13 +295,37 @@ class TestPoolDecision:
         monkeypatch.setattr(prospect, "scan_shard_task", _empty_shard)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         path = tmp_path / "scan.ckpt"
-        bound = 2 * 10**8  # 200 shards of 1e6: 128 for two workers, then 72
+        # 313 shards of 320,000, the last 160,000: 128 for two workers, twice, then 57.
+        bound = 10**8
         assert direct_scan(-1, 1, bound, workers=2, checkpoint=str(path)) == []
-        assert batches == [128, 72]
+        assert batches == [128, 128, 57]
         lines = path.read_text().splitlines()
         spans = [(r["norm_lo"], r["norm_hi"]) for r in map(parse_checkpoint_line, lines)]
         assert spans[0][0] == 1 and spans[-1][1] == bound + 1
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+    @pytest.mark.parametrize(
+        "bound,width",
+        [
+            (5 * 10**5, 125_001),  # in process: a quarter of the bound
+            (10**6, 125_001),  # two workers: an eighth of the bound
+            (10**7, 1 << 18),  # the floor of the width rule
+            (10**8, 320_000),  # 32 * isqrt(bound)
+            (10**9, 10**6),  # the ceiling, as before the rule
+        ],
+    )
+    def test_shard_width_grows_with_the_root_of_the_bound(
+        self, laid_out, monkeypatch, bound, width
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _, tasks = laid_out
+        assert direct_scan(-1, 1, bound, workers=2) == []
+        spans = [(lo, hi) for _, _, lo, hi in tasks]
+        # The spans tile [1, bound + 1): no gap, no overlap, all but the last this wide.
+        assert spans[0][0] == 1 and spans[-1][1] == bound + 1
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert {hi - lo for lo, hi in spans[:-1]} == {width}
+        assert len(spans) == -(-bound // width)
 
     @pytest.mark.parametrize(
         "cpus,workers,size,shards",
@@ -312,36 +336,12 @@ class TestPoolDecision:
             (1, 10**4, None, 4),  # one CPU runs the shards in process
         ],
     )
-    def test_pool_is_capped_by_cpus_and_shards(self, monkeypatch, cpus, workers, size, shards):
-        # A stand-in executor records its size and maps in process, so no
-        # process starts, whatever the requested count.
-        sizes, ran = [], []
-
-        class Serial:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        def counted(task):
-            ran.append(task)
-            return _empty_shard(task)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Serial)
-        monkeypatch.setattr(prospect, "scan_shard_task", counted)
+    def test_pool_is_capped_by_cpus_and_shards(
+        self, laid_out, monkeypatch, cpus, workers, size, shards
+    ):
+        sizes, ran = laid_out
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        prospect._scan.cache_clear()
-        try:
-            assert direct_scan(-1, 1, prospect._POOL_MIN_BOUND, workers=workers) == []
-        finally:
-            prospect._scan.cache_clear()
+        assert direct_scan(-1, 1, prospect._POOL_MIN_BOUND, workers=workers) == []
         assert sizes == ([] if size is None else [size])
         assert multiprocessing.active_children() == []
         assert len(ran) == shards and ran[-1][3] == prospect._POOL_MIN_BOUND + 1

@@ -1,11 +1,13 @@
 import math
+import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
-from quadperfect import InternalInconsistency, QuadInt, in_sector, index_n, ring
+from quadperfect import InternalInconsistency, QuadInt, direct_scan, in_sector, index_n, ring
 from quadperfect import scan
 from quadperfect.abundancy import Index, SurdSum
 from quadperfect.scan import _coords, _factor_segment, scan_shard
@@ -360,6 +362,24 @@ class TestScanShard:
         monkeypatch.setattr(scan, "primes_up_to", no_table)
         with pytest.raises(ValueError, match=r"2\*\*52"):
             scan_shard(-1, 1, 2**52, 2**52 + 10)
+
+    @pytest.mark.parametrize("d", [-2, -7])
+    def test_widest_shard_of_a_1e8_scan_holds_under_32_mb(self, laid_out, monkeypatch, d):
+        # n = 2 at d = -2 and -7 holds the most bytes per norm of any ring and n
+        # (about 78); the widest shard a two-worker scan to 1e8 lays out, run
+        # just below 1e8, stays well under what a 10**6-wide one holds (75 MB).
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _, tasks = laid_out
+        direct_scan(d, 2, 10**8, workers=2)
+        width = max(hi - lo for _, _, lo, hi in tasks)
+        scan_shard(d, 2, 10**8 - width, 10**8)  # warms the prime table and the chains
+        tracemalloc.start()
+        try:
+            scan_shard(d, 2, 10**8 - width, 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
     def test_split_square_resolution(self):
         """Norms with a squared split prime need per-element resolution; the

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 import sympy
@@ -190,6 +191,17 @@ class TestSympyOracle:
     @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 2039, _TRIAL_LIMIT, 10**5 + 3])
     def test_primes_up_to(self, limit):
         assert primes_up_to(limit) == tuple(sympy.primerange(limit + 1))
+
+    def test_primes_up_to_refuses_a_limit_outside_its_range_before_building(self):
+        tracemalloc.start()
+        try:
+            for limit in (-1, 2**26 + 1, 10**10):
+                with pytest.raises(ValueError, match=r"0\.\.2\*\*26"):
+                    primes_up_to(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a 2**26 sieve alone is 64 MB
 
     @_oracle
     @given(st.one_of(st.integers(-5, 10**6), _around_2_64, _around_2_64.map(sympy.nextprime)))
