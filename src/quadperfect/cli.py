@@ -4,6 +4,8 @@ Subcommands: classify, factor, divisors, index, search, verify, mersenne.
 Exit codes: 0 success (an empty search is a success), 1 a verification
 assertion failed, 2 bad arguments or unparsable input, 3 ledger or checkpoint
 I/O failure.  QP_WORKERS caps the process pool used by searches.
+A command with --json builds its result once, as a JSON payload and as text
+lines, and _emit prints the payload under --json and the lines otherwise.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .factorize import divisors_up_to_associates, factor_element
 from .prospect import (
     Check,
     SearchReport,
-    VerificationReport,
     append_record,
     congruence_identities,
     inert_residues,
@@ -83,31 +84,26 @@ def _fmt_part(pi: QuadInt, e: int) -> str:
     return base
 
 
-def _print_report(report: SearchReport, as_json: bool) -> None:
-    if as_json:
-        print(
-            json.dumps(
-                {
-                    "d": report.d,
-                    "n": report.n,
-                    "t": report.t,
-                    "bound": report.bound,
-                    "method": report.method,
-                    "cross_checked": report.cross_checked,
-                    "hits": [
-                        {"elem": str(z), "norm": z.norm()} for z in report.hits
-                    ],
-                }
-            )
-        )
-        return
+def _emit(args, payload: dict, lines) -> None:
+    """Print a command's result: payload as one JSON line under --json, else the text lines."""
+    print(json.dumps(payload) if args.json else "\n".join(lines))
+
+
+def _print_report(args, report: SearchReport) -> None:
     cross = {True: "yes", False: "MISMATCH", None: "n/a"}[report.cross_checked]
-    print(
+    _emit(args, {
+        "d": report.d,
+        "n": report.n,
+        "t": report.t,
+        "bound": report.bound,
+        "method": report.method,
+        "cross_checked": report.cross_checked,
+        "hits": [{"elem": str(z), "norm": z.norm()} for z in report.hits],
+    }, [
         f"d={report.d} n={report.n} t={report.t} bound={report.bound} "
-        f"method={report.method} cross_checked={cross} hits={len(report.hits)}"
-    )
-    for z in report.hits:
-        print(f"{z} (norm {z.norm()})")
+        f"method={report.method} cross_checked={cross} hits={len(report.hits)}",
+        *(f"{z} (norm {z.norm()})" for z in report.hits),
+    ])
 
 
 def _ledger_hits(args, report: SearchReport, kind: str) -> None:
@@ -132,20 +128,13 @@ def cmd_factor(args) -> int:
     ctx = ring(args.d)
     z = parse_element(args.d, args.elem)
     f = factor_element(ctx, z)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "d": args.d,
-                    "elem": str(z),
-                    "unit": str(f.unit),
-                    "parts": [{"prime": str(pi), "exp": e} for pi, e in f.parts],
-                }
-            )
-        )
-        return 0
     body = " * ".join(_fmt_part(pi, e) for pi, e in f.parts)
-    print(f"unit={f.unit}" + (f"; {body}" if body else ""))
+    _emit(args, {
+        "d": args.d,
+        "elem": str(z),
+        "unit": str(f.unit),
+        "parts": [{"prime": str(pi), "exp": e} for pi, e in f.parts],
+    }, [f"unit={f.unit}" + (f"; {body}" if body else "")])
     return 0
 
 
@@ -153,19 +142,11 @@ def cmd_divisors(args) -> int:
     ctx = ring(args.d)
     z = parse_element(args.d, args.elem)
     divs = divisors_up_to_associates(factor_element(ctx, z))
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "d": args.d,
-                    "elem": str(z),
-                    "divisors": [{"elem": str(w), "norm": w.norm()} for w in divs],
-                }
-            )
-        )
-        return 0
-    for w in divs:
-        print(w)
+    _emit(args, {
+        "d": args.d,
+        "elem": str(z),
+        "divisors": [{"elem": str(w), "norm": w.norm()} for w in divs],
+    }, map(str, divs))
     return 0
 
 
@@ -178,25 +159,15 @@ def cmd_index(args) -> int:
         value = delta_n(ctx, z, args.n)
     else:
         value = index_n(ctx, z, args.n).value
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "d": args.d,
-                    "elem": str(z),
-                    "n": args.n,
-                    "kind": "delta" if args.delta else "index",
-                    "exact": str(value),
-                    "terms": [
-                        [r, str(c)] for r, c in sorted(value.terms.items())
-                    ],
-                    "float": float(value),
-                }
-            )
-        )
-        return 0
-    print(value)
-    print(f"~ {float(value):.12g}")
+    _emit(args, {
+        "d": args.d,
+        "elem": str(z),
+        "n": args.n,
+        "kind": "delta" if args.delta else "index",
+        "exact": str(value),
+        "terms": [[r, str(c)] for r, c in sorted(value.terms.items())],
+        "float": float(value),
+    }, [str(value), f"~ {float(value):.12g}"])
     return 0
 
 
@@ -212,7 +183,7 @@ def cmd_search(args) -> int:
             ctx, args.n, args.t, args.bound, checkpoint=args.checkpoint
         )
         kind = "n-powerful"
-    _print_report(report, args.json)
+    _print_report(args, report)
     if report.cross_checked is False:
         print(
             "error: the integer reduction and the direct scan disagree", file=sys.stderr
@@ -225,7 +196,7 @@ def cmd_search(args) -> int:
 def cmd_mersenne(args) -> int:
     ctx = ring(args.d)
     report = mersenne_perfects(ctx, args.p_max)
-    _print_report(report, args.json)
+    _print_report(args, report)
     _ledger_hits(args, report, "mersenne")
     return 0
 
@@ -245,21 +216,22 @@ def _bound_samples() -> list:
     return samples
 
 
-def _print_verification(report: VerificationReport) -> int:
-    for check in report.checks:
+def _print_verification(checks) -> int:
+    for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
-    return 1 if report.failures() else 0
+    return 0 if all(check.passed for check in checks) else 1
 
 
 def cmd_verify(args) -> int:
     if args.suite == "bounds":
         samples = _bound_samples()
-        checks = []
-        for n in (3, 4, 5):
-            checks.extend(verify_bounds(n, samples).checks)
-        return _print_verification(VerificationReport(tuple(checks)))
+        checks = {}
+        for n in (3, 4, 5):  # each n repeats the constant checks: keep each name's first
+            for check in verify_bounds(n, samples).checks:
+                checks.setdefault(check.name, check)
+        return _print_verification(checks.values())
     if args.suite == "congruences":
-        return _print_verification(congruence_identities())
+        return _print_verification(congruence_identities().checks)
     if args.suite == "residues":
         expected = {
             -1: (4, frozenset({3})),
@@ -278,7 +250,7 @@ def cmd_verify(args) -> int:
                     detail=f"{{{listing}}}",
                 )
             )
-        return _print_verification(VerificationReport(tuple(checks)))
+        return _print_verification(checks)
     # absence
     checks = []
     for d in (-1, -3):
@@ -290,7 +262,7 @@ def cmd_verify(args) -> int:
                 detail=f"hits={len(report.hits)} cross_checked={report.cross_checked}",
             )
         )
-    return _print_verification(VerificationReport(tuple(checks)))
+    return _print_verification(checks)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -43,6 +43,7 @@ from functools import lru_cache
 from itertools import chain, islice
 
 from .abundancy import (
+    MAX_POWER,
     InternalInconsistency,
     classical_sigma,
     index_n,
@@ -300,12 +301,15 @@ def direct_scan(
 
     The (element, t) pairs are ordered by (norm, x, y).  Without a checkpoint
     the result may come from the cache of recent scans, whatever the worker
-    count; a checkpointed scan always reads and extends its file.  The bound
-    must lie below 2**52, where a shard's prime table stays within 2**26.
+    count; a checkpointed scan always reads and extends its file.  The power
+    n lies in 1..MAX_POWER, as for index_n, and the bound below 2**52, where a
+    shard's prime table stays within 2**26.
     """
     ring(d)
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    if not 1 <= n <= MAX_POWER:
+        raise ValueError(f"scan needs a power n in 1..{MAX_POWER}; got n = {n}")
     # The scan, and numpy with it, loads here rather than with the package,
     # and before a pool forks, so the workers inherit it.
     from . import scan
@@ -367,8 +371,6 @@ def search_powerfully(
     indices, so it is raised as an InternalInconsistency rather than returned
     as data.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     if t < 2:
         raise ValueError("t must be an integer >= 2")
     found = direct_scan(ctx.d, n, bound, workers=workers, checkpoint=checkpoint)
@@ -398,9 +400,7 @@ def mersenne_perfects(ctx: RingCtx, p_max: int) -> SearchReport:
         raise ValueError(f"p_max is capped at {_MERSENNE_EXP_LIMIT}")
     hits = []
     two_inert = _classify(ctx.d, 2) is SplitClass.INERT
-    for p in primes_up_to(max(p_max, 2)):
-        if p > p_max:
-            break
+    for p in primes_up_to(max(p_max, 0)):
         m = (1 << p) - 1
         if not is_probable_prime(m):
             continue

@@ -82,10 +82,9 @@ it, and the divisibility test is exact.
 Decide, in plain integers through the library.  An odd-n candidate is m*m
 with every prime of m inert, and I_n = classical_sigma(m, n) / m**n.  For
 even n, factor_integer and _classify give N's primes and classes; the exact
-chains (abundancy._chain, built once per prime power and shard) give one
-value prod(chains) / N**(n/2) per choice of a profile a for each split p.
-When some value is an integer t >= 2, abundancy.index_n decides every
-element of the norm.
+chains (abundancy._chain) give one value prod(chains) / N**(n/2) per choice
+of a profile a for each split p.  When some value is an integer t >= 2,
+abundancy.index_n decides every element of the norm.
 
 Audits.  Three checks abort the scan: an inert prime with an odd norm
 exponent, an element count per norm other than the product of (split
@@ -100,13 +99,12 @@ the profiles; both sides build their chains with abundancy._chain.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .abundancy import InternalInconsistency, _chain, classical_sigma, index_n
+from .abundancy import MAX_POWER, InternalInconsistency, _chain, classical_sigma, index_n
 from .ring import QuadInt, ring
 from .splitting import _RESIDUE_CLASSES, SplitClass, _classify, factor_integer, primes_up_to
 
@@ -404,8 +402,8 @@ def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
 
     Returns (x, y, t) triples in doubled coordinates, ordered by norm.
     """
-    if n < 1:
-        raise ValueError("scan expects a positive power n")
+    if not 1 <= n <= MAX_POWER:
+        raise ValueError(f"scan expects a power n in 1..{MAX_POWER}; got n = {n}")
     if hi > _HI_MAX:
         raise ValueError(f"scan needs hi <= 2**52 for its prime table; got hi = {hi}")
     ctx = ring(d)
@@ -414,8 +412,6 @@ def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
         return []
     uniq, counts = _norm_counts(ns, lo, hi)
     hits: list[tuple[int, int, int]] = []
-    # Each (norm_pi, e) chain is built once per shard; the cache goes with it.
-    chain = functools.cache(lambda norm_pi, e: _chain(norm_pi, e, n)[0])
 
     for N in _filter(d, n, lo, hi, uniq, counts).tolist():
         if n & 1:  # every prime of N is inert, of even exponent: N = m*m
@@ -426,11 +422,11 @@ def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
             for p, e in factor_integer(N).factors:
                 cls = _classify(d, p)
                 if cls is SplitClass.INERT:  # e is even, so the chain is rational
-                    chains = [chain(p * p, e >> 1)]
+                    chains = [_chain(p * p, e >> 1, n)[0]]
                 elif cls is SplitClass.RAMIFIED:
-                    chains = [chain(p, e)]
+                    chains = [_chain(p, e, n)[0]]
                 else:
-                    ends = [chain(p, a) for a in range(e + 1)]
+                    ends = [_chain(p, a, n)[0] for a in range(e + 1)]
                     chains = [ends[a] * ends[e - a] for a in range(e // 2 + 1)]
                 values = [v * f for v in values for f in chains]
         want = {v // denom for v in values if v >= 2 * denom and v % denom == 0}

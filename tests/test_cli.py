@@ -242,6 +242,13 @@ class TestVerifyCommand:
         assert proc.returncode == 0
         assert "zeta(5/2)^2" in proc.stdout
 
+    def test_bounds_prints_each_check_once(self, capsys):
+        # verify_bounds appends the same constant checks for every n.
+        assert main(["verify", "bounds"]) == 0
+        names = [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()]
+        assert "PASS zeta(5/2)^2 in (1.79, 1.81)" in names
+        assert len(names) == len(set(names))
+
     def test_absence_small_bound(self):
         proc = run_cli("verify", "absence", "--bound", "10000")
         assert proc.returncode == 0
@@ -317,6 +324,9 @@ class TestNumpyFree:
             "import sys, quadperfect, quadperfect.cli\n"
             "assert quadperfect.cli.main(['index', '--d', '-1', '9+3i', '--n', '2']) == 0\n"
             "assert quadperfect.cli.main(['factor', '--d', '-7', '(7+3s)/2']) == 0\n"
+            "assert quadperfect.cli.main(['index', '--d', '-1', '9+3i', '--n', '2', '--json']) == 0\n"
+            "assert quadperfect.cli.main(['factor', '--d', '-7', '(7+3s)/2', '--json']) == 0\n"
+            "assert quadperfect.cli.main(['divisors', '--d', '-3', '6', '--json']) == 0\n"
             "assert quadperfect.cli.main(['verify', 'residues']) == 0\n"
             "assert quadperfect.cli.main(['verify', 'congruences']) == 0\n"
             "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
@@ -325,6 +335,42 @@ class TestNumpyFree:
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=600
         )
         assert proc.returncode == 0, proc.stderr
+
+
+# (argv, exit code, stdout, stderr) of each command in its text and --json
+# forms, and of two input errors, byte for byte.
+GOLDEN = [
+    (['classify', '--d', '-1', '5'], 0, 'split 2+1s\n', ''),
+    (['classify', '--d', '-1', '3'], 0, 'inert\n', ''),
+    (['classify', '--d', '-7', '7'], 0, 'ramified 1s\n', ''),
+    (['factor', '--d', '-1', '9+3i'], 0, 'unit=-1s; (1+1s) * (1+2s) * 3\n', ''),
+    (['factor', '--d', '-1', '-1'], 0, 'unit=-1\n', ''),
+    (['factor', '--d', '-7', '(7+3s)/2', '--json'], 0, '{"d": -7, "elem": "(7+3s)/2", "unit": "-1", "parts": [{"prime": "(1+1s)/2", "exp": 2}, {"prime": "1s", "exp": 1}]}\n', ''),
+    (['divisors', '--d', '-1', '5'], 0, '1\n1+2s\n2+1s\n5\n', ''),
+    (['divisors', '--d', '-3', '6', '--json'], 0, '{"d": -3, "elem": "6", "divisors": [{"elem": "1", "norm": 1}, {"elem": "(3+1s)/2", "norm": 3}, {"elem": "2", "norm": 4}, {"elem": "3", "norm": 9}, {"elem": "3+1s", "norm": 12}, {"elem": "6", "norm": 36}]}\n', ''),
+    (['index', '--d', '-1', '9+3i', '--n', '2'], 0, '2\n~ 2\n', ''),
+    (['index', '--d', '-1', '9+3i', '--n', '2', '--json'], 0, '{"d": -1, "elem": "9+3s", "n": 2, "kind": "index", "exact": "2", "terms": [[1, "2"]], "float": 2.0}\n', ''),
+    (['index', '--d', '-2', '1+s', '--n', '1', '--delta'], 0, '1 + sqrt(3)\n~ 2.73205080757\n', ''),
+    (['index', '--d', '-2', '3+s', '--n', '3', '--delta', '--json'], 0, '{"d": -2, "elem": "3+1s", "n": 3, "kind": "delta", "exact": "1 + 11*sqrt(11)", "terms": [[1, "1"], [11, "11"]], "float": 37.4828726939094}\n', ''),
+    (['search', '--d', '-1', '--n', '2', '--t', '2', '--bound', '90'], 0, 'd=-1 n=2 t=2 bound=90 method=DirectScan cross_checked=n/a hits=2\n3+9s (norm 90)\n9+3s (norm 90)\n', ''),
+    (['search', '--d', '-11', '--n', '1', '--t', '2', '--bound', '1000', '--json'], 0, '{"d": -11, "n": 1, "t": 2, "bound": 1000, "method": "IntegerReduction", "cross_checked": true, "hits": [{"elem": "28", "norm": 784}]}\n', ''),
+    (['mersenne', '--d', '-11', '--p-max', '13'], 0, 'd=-11 n=1 t=2 bound=1125625045712896 method=MersenneFilter cross_checked=n/a hits=3\n28 (norm 784)\n8128 (norm 66064384)\n33550336 (norm 1125625045712896)\n', ''),
+    (['mersenne', '--d', '-19', '--p-max', '31', '--json'], 0, '{"d": -19, "n": 1, "t": 2, "bound": 5316911978187903335626628646131728384, "method": "MersenneFilter", "cross_checked": null, "hits": [{"elem": "6", "norm": 36}, {"elem": "496", "norm": 246016}, {"elem": "8128", "norm": 66064384}, {"elem": "33550336", "norm": 1125625045712896}, {"elem": "2305843008139952128", "norm": 5316911978187903335626628646131728384}]}\n', ''),
+    (['verify', 'congruences'], 0, 'PASS sigma(q^2a) = 6a+1 mod 8 for q = 5 mod 8: 0 counterexamples over a in 0..3; the period holds\nPASS sum p^l mod 8 is 6 for k=1 mod 8 and 2 for k=5 mod 8: 0 counterexamples over k in {1, 5}; the period holds\nPASS sigma(q^2a) = 1 mod 8 for q = 7 mod 8: 0 counterexamples over a = 0; the period holds\nPASS 2^p - 1 mod 11 avoids {2, 8, 10} for prime p: 0 counterexamples over p = 1, 2, 3, 5, 7, 9 mod 10; the period holds\n', ''),
+    (['verify', 'residues'], 0, 'd=-1: {3} mod 4\nd=-3: {2} mod 3\nd=-11: {2,6,7,8,10} mod 11\nPASS inert residues d=-1 mod 4: {3}\nPASS inert residues d=-3 mod 3: {2}\nPASS inert residues d=-11 mod 11: {2,6,7,8,10}\n', ''),
+    (['verify', 'absence', '--bound', '10000'], 0, 'PASS no 2-perfect elements in d=-1 up to 10000: hits=0 cross_checked=True\nPASS no 2-perfect elements in d=-3 up to 10000: hits=0 cross_checked=True\n', ''),
+    (['index', '--d', '-1', '9+3i', '--n', '0'], 2, '', 'error: n must be nonzero\n'),
+    (['factor', '--d', '-5', '3'], 2, '', 'error: d=-5 is not one of the nine imaginary quadratic UFDs (-163, -67, -43, -19, -11, -7, -3, -2, -1)\n'),
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize(
+        "argv, code, out, err", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN]
+    )
+    def test_output_is_unchanged(self, capsys, argv, code, out, err):
+        assert main(argv) == code
+        assert capsys.readouterr() == (out, err)
 
 
 class TestInProcessMain:
@@ -337,6 +383,14 @@ class TestInProcessMain:
         monkeypatch.setenv("QP_WORKERS", value)
         assert main(["search", "--d", "-1", "--n", "1", "--t", "2", "--bound", "100"]) == 2
         assert "error: QP_WORKERS must be a positive integer" in capsys.readouterr().err
+
+    def test_power_past_max_is_two_before_any_shard(self, monkeypatch, capsys):
+        def no_shards(task):
+            raise AssertionError("a shard ran")
+
+        monkeypatch.setattr(prospect, "scan_shard_task", no_shards)
+        assert main(["search", "--d", "-1", "--n", "65", "--t", "2", "--bound", "100"]) == 2
+        assert "1..64" in capsys.readouterr().err
 
     def test_search_mismatch_is_one(self, monkeypatch, capsys, tmp_path):
         # The direct scan claims an element the integer reduction never finds.

@@ -142,6 +142,14 @@ class TestSearchPowerfully:
         with pytest.raises(ValueError, match="t must be"):
             search_powerfully(ring(-1), 2, 1, 100)
 
+    def test_power_past_max_raises_before_any_shard(self, shard_tasks):
+        # Above MAX_POWER (64) the odd-n decision's run time grows steeply
+        # with n; index_n refuses such n, and so does the scan, up front.
+        for n in (65, 0):
+            with pytest.raises(ValueError, match=r"1\.\.64"):
+                search_powerfully(ring(-1), n, 2, 100)
+        assert shard_tasks == []
+
     def test_n_three_hit_of_any_t_raises(self, shard_tasks, monkeypatch):
         # A t=5 hit at n=3 is impossible, whichever t the search asked for.
         monkeypatch.setattr(

@@ -343,8 +343,9 @@ class TestScanShard:
         assert (18, 6, 2) in hits  # 9+3i
 
     def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            scan_shard(-1, 0, 1, 100)
+        for n in (65, 0):
+            with pytest.raises(ValueError, match=r"1\.\.64"):
+                scan_shard(-1, n, 1, 100)
 
     def test_rejects_norms_past_int64(self):
         # Above 2**52 the sieve's prime table passes 2**26, and above 2**61
