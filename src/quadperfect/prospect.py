@@ -12,8 +12,9 @@ across processes (capped by the QP_WORKERS environment variable, the CPU
 count and the shard count) from norm bound 10**6 up and in the calling
 process below it, and can checkpoint completed shards, hits of every t
 included, to a newline-delimited file so interrupted scans resume.  The last
-32 uncheckpointed results are cached: searches for t = 2 and t = 3 at one
-(d, n, bound) often follow each other.
+32 uncheckpointed results are cached, keyed on (d, n, bound) and the pool
+size the scan runs with (1 below 10**6, whatever the worker count):
+searches for t = 2 and t = 3 at one (d, n, bound) often follow each other.
 
 A shard's numpy arrays take 25 to 78 bytes per norm of its width (all nine
 rings, n = 1..4), so its width sets a worker's memory.  What a shard
@@ -239,23 +240,10 @@ def _keep_freed_arrays() -> None:
     np.empty((32 << 20) - (8 << 10), dtype=np.uint8)  # header and page rounding fit in 32 MB
 
 
-class _Workers:
-    """A worker count the scan cache does not key on: any two compare equal,
-    as the count changes how a scan runs, not what it returns."""
-
-    def __init__(self, count: int) -> None:
-        self.count = count
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Workers)
-
-    def __hash__(self) -> int:
-        return 0
-
-
 @lru_cache(maxsize=32)
-def _scan(d: int, n: int, bound: int, workers: _Workers, checkpoint: str | None) -> tuple:
-    """Drive the shards of one scan; checkpointed shards are read, new ones appended.
+def _scan(d: int, n: int, bound: int, nworkers: int, checkpoint: str | None) -> tuple:
+    """Drive the shards of one scan on a pool of nworkers, in process for 1;
+    checkpointed shards are read, new ones appended.
 
     Shards are laid out as they run, so memory does not grow with the bound.
     """
@@ -263,7 +251,6 @@ def _scan(d: int, n: int, bound: int, workers: _Workers, checkpoint: str | None)
 
     done, found = _load_checkpoint(checkpoint, d, n, bound)
     gaps = _gaps(bound, done)
-    nworkers = 1 if bound < _POOL_MIN_BOUND else min(workers.count, os.cpu_count() or 1)
     # A shard's arrays take 25-78 bytes per norm, so the width is as narrow as
     # the sieve's per-shard loop over its pi(sqrt(hi)) primes allows: it grows
     # with sqrt(bound), from 2**18 at 1e7 to 10**6 from about 1e9 up.
@@ -272,16 +259,17 @@ def _scan(d: int, n: int, bound: int, workers: _Workers, checkpoint: str | None)
     tasks = ((d, n, lo, hi) for lo, hi in _shards(gaps, width))
     # A fork pool starts every worker at its first submit: no more than there are shards.
     nworkers = min(nworkers, sum(len(range(lo, hi, width)) for lo, hi in gaps))
-    parallel = nworkers > 1
     with (
-        ProcessPoolExecutor(nworkers, initializer=_keep_freed_arrays) if parallel else nullcontext()
+        ProcessPoolExecutor(nworkers, initializer=_keep_freed_arrays)
+        if nworkers > 1
+        else nullcontext()
     ) as pool:
-        if parallel:  # each map call holds one batch of 64 shards per worker
-            batches = iter(lambda: list(islice(tasks, 64 * nworkers)), [])
-            results = chain.from_iterable(pool.map(scan_shard_task, b) for b in batches)
-        else:
-            results = map(scan_shard_task, tasks)
-        for lo, hi, shard_hits in results:
+        # Each map call holds one batch of 512 shards per worker, and the next
+        # is submitted once this one is read: scans up to 1e9 on two workers
+        # take one batch.
+        batches = iter(lambda: list(islice(tasks, 512 * nworkers)), [])
+        run = pool.map if pool else map
+        for lo, hi, shard_hits in chain.from_iterable(run(scan_shard_task, b) for b in batches):
             pairs = [(QuadInt._raw(d, x, y), t) for x, y, t in shard_hits]
             found.update(pairs)
             if checkpoint is not None:
@@ -300,10 +288,11 @@ def direct_scan(
     """Every canonical element with norm <= bound and integer n-index t >= 2, with t.
 
     The (element, t) pairs are ordered by (norm, x, y).  Without a checkpoint
-    the result may come from the cache of recent scans, whatever the worker
-    count; a checkpointed scan always reads and extends its file.  The power
-    n lies in 1..MAX_POWER, as for index_n, and the bound below 2**52, where a
-    shard's prime table stays within 2**26.
+    the result may come from the cache of recent scans, keyed on the pool size
+    the scan runs with: 1 below _POOL_MIN_BOUND, whatever the worker count,
+    and min(count, CPU count) from it up.  A checkpointed scan always reads
+    and extends its file.  The power n lies in 1..MAX_POWER, as for index_n,
+    and the bound below 2**52, where a shard's prime table stays within 2**26.
     """
     ring(d)
     if bound < 1:
@@ -316,8 +305,10 @@ def direct_scan(
 
     if bound >= scan._HI_MAX:
         raise ValueError(f"scan needs a bound below 2**52 for its prime table; got {bound}")
+    count = worker_count(workers)  # checked at every bound
+    nworkers = 1 if bound < _POOL_MIN_BOUND else min(count, os.cpu_count() or 1)
     run = _scan if checkpoint is None else _scan.__wrapped__
-    return list(run(d, n, bound, _Workers(worker_count(workers)), checkpoint))
+    return list(run(d, n, bound, nworkers, checkpoint))
 
 
 def search_t_perfect(

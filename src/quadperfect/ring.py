@@ -150,9 +150,6 @@ class QuadInt:
     def is_unit(self) -> bool:
         return self.norm() == 1
 
-    def is_rational_int(self) -> bool:
-        return self.y == 0
-
     def as_int(self) -> int:
         if self.y != 0:
             raise ValueError(f"{self} is not a rational integer")

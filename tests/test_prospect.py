@@ -38,10 +38,6 @@ from conftest import ALL_DS
 from oracles import sympy_class
 
 
-def _empty_shard(task):
-    return task[2], task[3], []
-
-
 @pytest.fixture
 def shard_tasks(monkeypatch):
     """Run scans in process on an empty cache; yields the list of shard tasks run."""
@@ -187,7 +183,22 @@ class TestScanCache:
         assert len(shard_tasks) == 4
         shard_tasks.clear()
         assert direct_scan(-1, 2, 200_000, workers=2) == first
+        assert direct_scan(-1, 2, 200_000, workers=64) == first
         assert shard_tasks == []
+
+    def test_pool_size_is_the_key_from_the_pool_bound(self, laid_out, monkeypatch):
+        sizes, tasks = laid_out
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        bound = prospect._POOL_MIN_BOUND
+        assert direct_scan(-1, 2, bound, workers=2) == []
+        assert len(tasks) == 8 and sizes == [2]
+        tasks.clear()
+        # Eight workers get the two CPUs' pool: the same key, so no shard runs.
+        assert direct_scan(-1, 2, bound, workers=8) == []
+        assert tasks == [] and sizes == [2]
+        # One worker scans in process, at its own width and under its own key.
+        assert direct_scan(-1, 2, bound, workers=1) == []
+        assert len(tasks) == 4 and sizes == [2]
 
     def test_bound_past_int64_raises_before_any_shard(self, shard_tasks, monkeypatch):
         def no_shards(*args):
@@ -271,9 +282,9 @@ class TestPoolDecision:
             pooled = direct_scan(-11, 1, prospect._POOL_MIN_BOUND, workers=2)
             assert len(pools) == 1
             assert multiprocessing.active_children() == []
-            # One worker runs the same scan in process, with the same hits.  The
-            # cache would serve the pooled result, so it is cleared, and the
-            # counted task shows that every shard ran here.
+            # One worker runs the same scan in process, with the same hits.  Its
+            # pool size is a key of its own; the cache is cleared all the same,
+            # and the counted task shows that every shard ran here.
             prospect._scan.cache_clear()
             ran = []
             real = prospect.scan_shard_task
@@ -291,22 +302,21 @@ class TestPoolDecision:
             prospect._scan.cache_clear()
         assert (QuadInt.from_int(-11, 28), 2) in pooled
 
-    def test_pool_takes_its_shards_in_batches(self, monkeypatch, tmp_path):
+    def test_pool_takes_its_shards_in_batches(self, laid_out, monkeypatch, tmp_path):
         batches = []
 
-        class Counted(concurrent.futures.ProcessPoolExecutor):
+        class Counted(concurrent.futures.ProcessPoolExecutor):  # laid_out's stand-in
             def map(self, fn, tasks):
                 batches.append(len(tasks))
                 return super().map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-        monkeypatch.setattr(prospect, "scan_shard_task", _empty_shard)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         path = tmp_path / "scan.ckpt"
-        # 313 shards of 320,000, the last 160,000: 128 for two workers, twice, then 57.
-        bound = 10**8
+        # 2,000 shards of 10**6: 1,024 for two workers, then 976.
+        bound = 2 * 10**9
         assert direct_scan(-1, 1, bound, workers=2, checkpoint=str(path)) == []
-        assert batches == [128, 128, 57]
+        assert batches == [1024, 976]
         lines = path.read_text().splitlines()
         spans = [(r["norm_lo"], r["norm_hi"]) for r in map(parse_checkpoint_line, lines)]
         assert spans[0][0] == 1 and spans[-1][1] == bound + 1
