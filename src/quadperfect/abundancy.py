@@ -1,11 +1,11 @@
 """Divisor power sums, abundancy indices, and the exact surd values they take.
 
 A divisor sum over a quadratic ring adds terms sqrt(norm)**n, so its value is
-a finite rational combination of square roots of squarefree integers.  The
-SurdSum type keeps those combinations exact; by linear independence of
+a finite rational combination of square roots of squarefree integers.
+SurdSum is an exact, immutable value type for them whose one operation is
+the product, for the multiplicativity checks.  By linear independence of
 distinct square roots over the rationals, structural equality after
-normalization is value equality, which is what makes "the index equals t"
-a decidable, exact predicate.
+normalization is value equality, which makes "the index equals t" exact.
 
 delta_n is multiplicative; its factor over pi**e reads only N = N(pi) and e,
 which factorize.norm_profile takes from the norm's factors and z's content.
@@ -40,9 +40,11 @@ class InternalInconsistency(RuntimeError):
 class SurdSum:
     """An exact finite sum of c_r * sqrt(r) over distinct squarefree r >= 1.
 
-    Radicals are squarefree positive integers, coefficients nonzero rationals;
-    the rational part is the radical-1 term and the empty sum is zero.
-    Instances are immutable.
+    A value type: radicals are squarefree positive ints, coefficients nonzero
+    rationals, never floats; the radical-1 term is the rational part and the
+    empty sum is zero.  Instances are immutable, and compare and hash by value
+    (a rational one as its Fraction).  The one operation is SurdSum * SurdSum,
+    for the multiplicativity suites; delta_n builds its values from int dicts.
     """
 
     __slots__ = ("_terms",)
@@ -50,8 +52,10 @@ class SurdSum:
     def __init__(self, terms: Mapping[int, _RationalLike] | None = None) -> None:
         clean: dict[int, Fraction] = {}
         for r, c in (terms or {}).items():
-            if r < 1 or _squarefree_split(r) != (1, r):
-                raise ValueError(f"radical {r} is not a squarefree positive integer")
+            if not isinstance(r, int) or r < 1 or _squarefree_split(r) != (1, r):
+                raise ValueError(f"radical {r!r} is not a squarefree positive integer")
+            if isinstance(c, float):
+                raise ValueError(f"coefficient {c!r} is a float, not an exact rational")
             c = Fraction(c)
             if c:
                 clean[r] = c
@@ -71,15 +75,6 @@ class SurdSum:
         q = Fraction(q)
         return cls._raw({1: q} if q else {})
 
-    @classmethod
-    def sqrt_int(cls, m: int, scale: _RationalLike = 1) -> SurdSum:
-        """scale * sqrt(m) for a positive integer m, radical reduced to squarefree."""
-        if m < 1:
-            raise ValueError("sqrt_int wants a positive integer")
-        square, rad = _squarefree_split(m)
-        c = Fraction(scale) * square
-        return cls._raw({rad: c} if c else {})
-
     @property
     def terms(self) -> dict[int, Fraction]:
         return dict(self._terms)
@@ -95,50 +90,16 @@ class SurdSum:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash(self.as_fraction() if self.is_rational() else frozenset(self._terms.items()))
 
-    def __add__(self, other: SurdSum | _RationalLike) -> SurdSum:
-        if isinstance(other, (int, Fraction)):
-            other = SurdSum.from_rational(other)
-        out = dict(self._terms)
-        for r, c in other._terms.items():
-            s = out.get(r, 0) + c
-            if s:
-                out[r] = s
-            else:
-                out.pop(r, None)
-        return SurdSum._raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> SurdSum:
-        return SurdSum._raw({r: -c for r, c in self._terms.items()})
-
-    def __sub__(self, other: SurdSum | _RationalLike) -> SurdSum:
-        if isinstance(other, (int, Fraction)):
-            other = SurdSum.from_rational(other)
-        return self + (-other)
-
-    def __mul__(self, other: SurdSum | _RationalLike) -> SurdSum:
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if not other:
-                return SurdSum._raw({})
-            return SurdSum._raw({r: c * other for r, c in self._terms.items()})
+    def __mul__(self, other: SurdSum) -> SurdSum:
+        if not isinstance(other, SurdSum):
+            return NotImplemented
         out: dict[int, Fraction] = {}
-        for r1, c1 in self._terms.items():
-            for r2, c2 in other._terms.items():
-                g = math.gcd(r1, r2)
-                rad = (r1 // g) * (r2 // g)
-                c = c1 * c2 * g
-                s = out.get(rad, 0) + c
-                if s:
-                    out[rad] = s
-                else:
-                    out.pop(rad, None)
-        return SurdSum._raw(out)
-
-    __rmul__ = __mul__
+        for r, c in other._terms.items():
+            for t, v in _times_surd(self._terms, 0, c, r).items():
+                out[t] = out.get(t, 0) + v
+        return SurdSum._raw({t: v for t, v in out.items() if v})
 
     def is_rational(self) -> bool:
         return set(self._terms) <= {1}
@@ -217,8 +178,11 @@ def _chain(norm_pi: int, e: int, n: int) -> tuple[int, int]:
     return _geom(q, e >> 1), norm_pi ** (n >> 1) * _geom(q, (e - 1) >> 1)
 
 
-def _times_surd(terms: dict[int, int], a: int, b: int, r: int) -> dict[int, int]:
-    """terms * (a + b*sqrt(r)), for integer a, b >= 0 and squarefree r."""
+def _times_surd(terms: dict, a: _RationalLike, b: _RationalLike, r: int) -> dict:
+    """terms * (a + b*sqrt(r)) for rationals a, b of any sign and squarefree r.
+
+    A coefficient that cancels to zero stays in the result.
+    """
     out = {t: c * a for t, c in terms.items()} if a else {}
     if b:
         for t, c in terms.items():

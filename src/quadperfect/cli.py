@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -159,6 +160,10 @@ def cmd_index(args) -> int:
         value = delta_n(ctx, z, args.n)
     else:
         value = index_n(ctx, z, args.n).value
+    try:
+        approx = float(value)
+    except OverflowError:  # past the float range; the exact value still prints
+        approx = math.inf
     _emit(args, {
         "d": args.d,
         "elem": str(z),
@@ -166,8 +171,8 @@ def cmd_index(args) -> int:
         "kind": "delta" if args.delta else "index",
         "exact": str(value),
         "terms": [[r, str(c)] for r, c in sorted(value.terms.items())],
-        "float": float(value),
-    }, [str(value), f"~ {float(value):.12g}"])
+        "float": approx if math.isfinite(approx) else None,
+    }, [str(value), f"~ {approx:.12g}"])
     return 0
 
 

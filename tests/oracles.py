@@ -2,9 +2,10 @@
 
 Nothing here goes through factor_element or the multiplicative divisor-sum
 path: divisors come from coordinate scans plus exact division, and square
-roots are reduced by direct trial division.  SurdSum is used only as an
-accumulator (dict merges), never as a computation shortcut.  Prime classes
-come from sympy's quadratic-residue test, not from the library's Euler criterion.
+roots are reduced by direct trial division.  Sums add coefficients in a
+plain dict and become one SurdSum at the end; no SurdSum operator is used.
+Prime classes come from sympy's quadratic-residue test, not from the
+library's Euler criterion.
 """
 
 from __future__ import annotations
@@ -128,17 +129,19 @@ def brute_deltas(d: int, bound: int, ns) -> dict[tuple[int, int], list[SurdSum]]
     return out
 
 
+def power_sum(counts, n: int) -> SurdSum:
+    """sum(c * sqrt(k)**n) over the (k, c) pairs in counts, added up in a dict."""
+    terms: dict[int, Fraction] = defaultdict(Fraction)
+    for k, c in counts:
+        r, coeff = abs_power_term(k, n)
+        terms[r] += c * coeff
+    return SurdSum(terms)
+
+
 @functools.cache
 def _power_sums(counts: tuple[tuple[int, int], ...], ns: tuple[int, ...]) -> list[SurdSum]:
-    """sum(c * sqrt(k)**n) over the (k, c) in counts, one SurdSum per n in ns."""
-    sums = []
-    for n in ns:
-        terms: dict[int, Fraction] = defaultdict(Fraction)
-        for k, c in counts:
-            for r, coeff in abs_power_surd(k, n).terms.items():
-                terms[r] += c * coeff
-        sums.append(SurdSum(terms))
-    return sums
+    """power_sum(counts, n) for each n in ns."""
+    return [power_sum(counts, n) for n in ns]
 
 
 def sqrt_reduced(m: int) -> tuple[int, int]:
@@ -161,22 +164,19 @@ def sqrt_reduced(m: int) -> tuple[int, int]:
 
 
 @functools.cache
-def abs_power_surd(norm_w: int, n: int) -> SurdSum:
-    """|w|**n = sqrt(norm_w)**n as an exact surd."""
+def abs_power_term(norm_w: int, n: int) -> tuple[int, Fraction]:
+    """|w|**n = sqrt(norm_w)**n = coeff * sqrt(r), r squarefree, as the pair (r, coeff)."""
     k, odd = divmod(n, 2)
     coeff = Fraction(norm_w) ** k
     if not odd:
-        return SurdSum({1: coeff})
+        return 1, coeff
     c, r = sqrt_reduced(norm_w)
-    return SurdSum({r: coeff * c})
+    return r, coeff * c
 
 
 def brute_delta(z: QuadInt, n: int) -> SurdSum:
     """Divisor-power sum straight from the definition: sum |w|**n over divisors."""
-    total = SurdSum()
-    for w in divisors_by_candidate_norms(z):
-        total = total + abs_power_surd(w.norm(), n)
-    return total
+    return power_sum(((w.norm(), 1) for w in divisors_by_candidate_norms(z)), n)
 
 
 def exponents_by_division(z: QuadInt) -> dict[QuadInt, int]:

@@ -26,11 +26,11 @@ from quadperfect import (
 
 from conftest import ALL_DS, make_rng, random_element, random_element_norm_le
 from oracles import (
-    abs_power_surd,
     brute_delta,
     delta_by_division,
     elements_with_norm,
     exponents_by_division,
+    power_sum,
     sympy_class,
 )
 
@@ -42,21 +42,39 @@ class TestSurdSum:
         a = SurdSum({1: 3, 2: 1})
         b = SurdSum({1: 1, 2: 1})
         assert a * b == SurdSum({1: 5, 2: 4})
+        assert SurdSum({1: 1, 2: 1}) * SurdSum({1: 1, 2: -1}) == -1
+
+    def test_product_wants_a_surd(self):
+        with pytest.raises(TypeError):
+            SurdSum({2: 1}) * 2
+        with pytest.raises(TypeError):
+            2 * SurdSum({2: 1})
 
     def test_radical_reduction(self):
-        assert SurdSum.sqrt_int(2) * SurdSum.sqrt_int(8) == SurdSum.from_rational(4)
-        assert SurdSum.sqrt_int(12) == SurdSum({3: 2})
+        assert SurdSum({2: 1}) * SurdSum({2: 2}) == 4
+        assert SurdSum({6: 1}) * SurdSum({3: 1}) == SurdSum({2: 3})
 
     def test_rejects_non_squarefree_radical(self):
         with pytest.raises(ValueError):
             SurdSum({4: 1})
         with pytest.raises(ValueError):
             SurdSum({0: 1})
+        with pytest.raises(ValueError, match="radical"):
+            SurdSum({2.0: 1})
+        with pytest.raises(ValueError, match="float"):
+            SurdSum({1: 0.1})
 
     def test_zero_handling(self):
         assert not SurdSum()
-        assert SurdSum({2: 1}) - SurdSum({2: 1}) == SurdSum()
-        assert SurdSum({2: 1}) * 0 == 0
+        assert SurdSum({2: 0}) == SurdSum()
+        assert SurdSum({2: 1}) * SurdSum() == 0
+
+    def test_hash_agrees_with_equality(self):
+        value = index_n(ring(-1), QuadInt(-1, 9, 3), 2).value
+        assert {2: "hit"}.get(value) == "hit"
+        assert hash(SurdSum()) == hash(0)
+        assert len({SurdSum(), 0}) == 1
+        assert hash(SurdSum({1: Fraction(1, 2)})) == hash(Fraction(1, 2))
 
     def test_equality_is_value_equality(self):
         assert SurdSum({1: Fraction(3, 2), 2: Fraction(1, 2)}) == SurdSum(
@@ -133,9 +151,7 @@ class TestDelta:
             for e in range(13):
                 z = pi**e
                 for n in (0, 1, -1, 2, -2, 63, -63, 64, -64):
-                    want = SurdSum()
-                    for j in range(e + 1):
-                        want = want + abs_power_surd(npi**j, n)
+                    want = power_sum(((npi**j, 1) for j in range(e + 1)), n)
                     assert delta_n(ctx, z, n) == want, f"pi={pi}, e={e}, n={n}"
 
     def test_multiplicative_on_coprime_pairs(self, d):

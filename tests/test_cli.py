@@ -338,7 +338,7 @@ class TestNumpyFree:
 
 
 # (argv, exit code, stdout, stderr) of each command in its text and --json
-# forms, and of two input errors, byte for byte.
+# forms, of a delta past the float range, and of two input errors, byte for byte.
 GOLDEN = [
     (['classify', '--d', '-1', '5'], 0, 'split 2+1s\n', ''),
     (['classify', '--d', '-1', '3'], 0, 'inert\n', ''),
@@ -352,6 +352,8 @@ GOLDEN = [
     (['index', '--d', '-1', '9+3i', '--n', '2', '--json'], 0, '{"d": -1, "elem": "9+3s", "n": 2, "kind": "index", "exact": "2", "terms": [[1, "2"]], "float": 2.0}\n', ''),
     (['index', '--d', '-2', '1+s', '--n', '1', '--delta'], 0, '1 + sqrt(3)\n~ 2.73205080757\n', ''),
     (['index', '--d', '-2', '3+s', '--n', '3', '--delta', '--json'], 0, '{"d": -2, "elem": "3+1s", "n": 3, "kind": "delta", "exact": "1 + 11*sqrt(11)", "terms": [[1, "1"], [11, "11"]], "float": 37.4828726939094}\n', ''),
+    (['index', '--d', '-1', '--n', '64', '--delta', '100000'], 0, '100000000023283064370816563688908699618685222695472207414778493163462988145237640368431573156014193570034377689490006410760114428991759708342132281069286989349235714243026580066539410411363691356850369370546049083318621953279050898566285417381908080746381566182205926691374118152935148672598562099590038918259247937267236\n~ inf\n', ''),
+    (['index', '--d', '-1', '--n', '64', '--delta', '100000', '--json'], 0, '{"d": -1, "elem": "100000", "n": 64, "kind": "delta", "exact": "100000000023283064370816563688908699618685222695472207414778493163462988145237640368431573156014193570034377689490006410760114428991759708342132281069286989349235714243026580066539410411363691356850369370546049083318621953279050898566285417381908080746381566182205926691374118152935148672598562099590038918259247937267236", "terms": [[1, "100000000023283064370816563688908699618685222695472207414778493163462988145237640368431573156014193570034377689490006410760114428991759708342132281069286989349235714243026580066539410411363691356850369370546049083318621953279050898566285417381908080746381566182205926691374118152935148672598562099590038918259247937267236"]], "float": null}\n', ''),
     (['search', '--d', '-1', '--n', '2', '--t', '2', '--bound', '90'], 0, 'd=-1 n=2 t=2 bound=90 method=DirectScan cross_checked=n/a hits=2\n3+9s (norm 90)\n9+3s (norm 90)\n', ''),
     (['search', '--d', '-11', '--n', '1', '--t', '2', '--bound', '1000', '--json'], 0, '{"d": -11, "n": 1, "t": 2, "bound": 1000, "method": "IntegerReduction", "cross_checked": true, "hits": [{"elem": "28", "norm": 784}]}\n', ''),
     (['mersenne', '--d', '-11', '--p-max', '13'], 0, 'd=-11 n=1 t=2 bound=1125625045712896 method=MersenneFilter cross_checked=n/a hits=3\n28 (norm 784)\n8128 (norm 66064384)\n33550336 (norm 1125625045712896)\n', ''),

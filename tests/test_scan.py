@@ -414,7 +414,7 @@ class TestScanChecks:
 
     def test_hit_failing_certification_raises(self, monkeypatch):
         def wrong(ctx, z, n):
-            return Index(value=index_n(ctx, z, n).value + 1, n=n, z_norm=z.norm())
+            return Index(value=index_n(ctx, z, n).value * SurdSum({1: 2}), n=n, z_norm=z.norm())
 
         monkeypatch.setattr(scan, "index_n", wrong)
         with pytest.raises(InternalInconsistency, match="exact index"):
