@@ -16,7 +16,6 @@ from .abundancy import (
     index_n,
     is_n_powerfully_t_perfect,
 )
-from .elemtext import ElementParseError, format_element, parse_element
 from .factorize import (
     ElementFactorization,
     divisors_up_to_associates,
@@ -43,12 +42,14 @@ from .prospect import (
 )
 from .ring import (
     UFD_DS,
+    ElementParseError,
     MixedRingError,
     QuadInt,
     RingCtx,
     canonicalize,
     in_sector,
     is_associated,
+    parse_element,
     ring,
     try_div,
     units,

@@ -18,7 +18,6 @@ import sys
 import time
 
 from .abundancy import InternalInconsistency, delta_n, index_n
-from .elemtext import ElementParseError, parse_element
 from .factorize import divisors_up_to_associates, factor_element
 from .prospect import (
     Check,
@@ -32,7 +31,7 @@ from .prospect import (
     search_t_perfect,
     verify_bounds,
 )
-from .ring import QuadInt, ring
+from .ring import QuadInt, parse_element, ring
 from .splitting import SplitClass, classify_prime, prime_above
 
 LEDGER_KINDS = ("t-perfect", "n-powerful", "mersenne")
@@ -335,7 +334,7 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         print(f"FALSIFICATION: {exc}", file=sys.stderr)
         return 1
-    except (ElementParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

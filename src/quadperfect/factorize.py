@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
 
-from .ring import QuadInt, RingCtx, canonicalize, is_associated, try_div
+from .ring import QuadInt, RingCtx, _is_element, canonicalize, is_associated, try_div
 from .splitting import SplitClass, _classify, _prime_above, factor_integer, is_probable_prime
 
 
@@ -52,7 +52,7 @@ def _norm_primes(ctx: RingCtx, z: QuadInt) -> Iterator[tuple[int, SplitClass, in
         # keeps the ring's parity rule, which only p = 2 (split at d = -7) can break.
         while cls is SplitClass.SPLIT and x % p == 0 and y % p == 0:
             x, y = x // p, y // p
-            if (x ^ y if ctx.residue_mod_4 == 1 else x | y) & 1:
+            if not _is_element(ctx.d, x, y):
                 break
             k += 1
         yield p, cls, e, k

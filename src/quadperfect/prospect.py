@@ -50,8 +50,7 @@ from .abundancy import (
     index_n,
     is_n_powerfully_t_perfect,
 )
-from .elemtext import parse_element
-from .ring import QuadInt, RingCtx, ring
+from .ring import QuadInt, RingCtx, in_sector, parse_element, ring
 from .splitting import _INERT, _RESIDUE_CLASSES, SplitClass, _classify, factor_integer
 from .splitting import is_probable_prime, primes_up_to
 
@@ -179,18 +178,32 @@ def append_record(path: str, line: str) -> None:
 
 
 def _load_checkpoint(path: str | None, d: int, n: int, bound: int):
-    """Shards and hits recorded for (d, n), clipped to norms up to bound."""
+    """Shards and hits recorded for (d, n), clipped to norms up to bound.
+
+    A line of (d, n) is certified as it is read: its norm range must be
+    nonempty, and each hit canonical, inside the range and exactly of index t.
+    """
     done: list[tuple[int, int]] = []
     hits: dict[QuadInt, int] = {}
     if path is None or not os.path.exists(path):
         return done, hits
-    for rec in read_records(path, parse_checkpoint_line, "checkpoint"):
-        if (rec["d"], rec["n"]) != (d, n):
+
+    def certified(line: str) -> dict:
+        rec = parse_checkpoint_line(line)
+        if (rec["d"], rec["n"]) == (d, n):
+            lo, hi = rec["norm_lo"], rec["norm_hi"]
+            if not 1 <= lo < hi:
+                raise ValueError(f"norm range [{lo}, {hi}) is empty or starts below 1")
+            for z, t in rec["hits"]:
+                inside = in_sector(z) and lo <= z.norm() < hi
+                if not inside or not is_n_powerfully_t_perfect(ring(d), z, n, t):
+                    raise ValueError(f"{z}:{t} is not a hit in norms [{lo}, {hi})")
+        return rec
+
+    for rec in read_records(path, certified, "checkpoint"):
+        if (rec["d"], rec["n"]) != (d, n) or rec["norm_lo"] > bound:
             continue
-        lo, hi = rec["norm_lo"], min(rec["norm_hi"], bound + 1)
-        if lo < 1 or lo >= hi:
-            continue
-        done.append((lo, hi))
+        done.append((rec["norm_lo"], min(rec["norm_hi"], bound + 1)))
         hits.update((z, t) for z, t in rec["hits"] if z.norm() <= bound)
     return done, hits
 

@@ -5,12 +5,21 @@ half=True)`` is the number (x + y*sqrt(d))/2.  For d = 2, 3 (mod 4) both
 coordinates are even (the element is an ordinary a + b*sqrt(d)); for
 d = 1 (mod 4) the coordinates share a parity, which admits the half-integer
 elements of Z[(1+sqrt(d))/2].  One representation, one code path.
+
+Element text (whitespace ignored): ``INT``, ``[INT]s``, ``INT+[INT]s``,
+``INT-[INT]s``, and the half form ``(INT+[INT]s)/2`` for the rings where half
+coordinates exist.  ``s`` stands for sqrt(d) of the ring in context; ``i`` is
+accepted as an alias when d = -1.  An omitted coefficient means 1.  str(z)
+always prints the coefficient (``2-1s``) and uses the half form exactly when
+the coordinates are odd, so parse_element(d, str(z)) == z.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cache
+from operator import index
 
 #: Negative squarefree d for which O_Q(sqrt(d)) has unique factorization.
 UFD_DS = (-163, -67, -43, -19, -11, -7, -3, -2, -1)
@@ -20,13 +29,16 @@ class MixedRingError(ValueError):
     """Raised when two operands live in different rings."""
 
 
+class ElementParseError(ValueError):
+    """The text is not a valid element of the ring in context."""
+
+
 @dataclass(frozen=True)
 class RingCtx:
-    """Descriptor of one ring: d, size of the unit group, and d mod 4."""
+    """Descriptor of one ring: d and the size of its unit group."""
 
     d: int
     unit_count: int
-    residue_mod_4: int
 
 
 @cache
@@ -35,7 +47,12 @@ def ring(d: int) -> RingCtx:
     if d not in UFD_DS:
         raise ValueError(f"d={d} is not one of the nine imaginary quadratic UFDs {UFD_DS}")
     unit_count = 4 if d == -1 else 6 if d == -3 else 2
-    return RingCtx(d=d, unit_count=unit_count, residue_mod_4=d % 4)
+    return RingCtx(d=d, unit_count=unit_count)
+
+
+def _is_element(d: int, x: int, y: int) -> bool:
+    """Integrality: doubled coordinates share a parity for d = 1 (mod 4), else both are even."""
+    return not ((x ^ y) if d % 4 == 1 else (x | y)) & 1
 
 
 class QuadInt:
@@ -43,7 +60,8 @@ class QuadInt:
 
     Construct with integer coordinates ``QuadInt(d, a, b)`` for a + b*sqrt(d),
     or doubled coordinates ``QuadInt(d, x, y, half=True)`` for (x+y*sqrt(d))/2.
-    Instances are immutable and hashable; arithmetic rejects mixed rings.
+    Coordinates go through operator.index, so a float, Fraction or str raises
+    TypeError.  Instances are immutable and hashable; arithmetic rejects mixed rings.
     """
 
     __slots__ = ("d", "x", "y")
@@ -54,12 +72,9 @@ class QuadInt:
 
     def __init__(self, d: int, a: int, b: int = 0, *, half: bool = False) -> None:
         ring(d)
-        x, y = (int(a), int(b)) if half else (2 * int(a), 2 * int(b))
-        if d % 4 == 1:
-            if (x ^ y) & 1:
-                raise ValueError(f"coordinates ({x}{y:+d}*sqrt({d}))/2 must share parity")
-        elif (x | y) & 1:
-            raise ValueError(f"({x}{y:+d}*sqrt({d}))/2 is not integral for d={d}")
+        x, y = (index(a), index(b)) if half else (2 * index(a), 2 * index(b))
+        if not _is_element(d, x, y):
+            raise ValueError(f"({x}{y:+d}*sqrt({d}))/2 is not an element of the ring of d={d}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -79,7 +94,7 @@ class QuadInt:
     @classmethod
     def from_int(cls, d: int, n: int) -> QuadInt:
         ring(d)
-        return cls._raw(d, 2 * n, 0)
+        return cls._raw(d, 2 * index(n), 0)
 
     def _check_ring(self, other: QuadInt) -> None:
         if self.d != other.d:
@@ -170,6 +185,44 @@ class QuadInt:
         return f"QuadInt({self.d}, {self.x}, {self.y}, half=True)"
 
 
+_INT = r"[+-]?\d+"
+_COEF = r"[+-]\d*|\d*"
+_FULL = re.compile(rf"^(?:({_INT})(?=[+-]|$))?(?:({_COEF})[si])?$")
+_HALF = re.compile(rf"^\(({_INT})([+-]\d*)[si]\)/2$")
+
+
+def _coef(text: str) -> int:
+    if text in ("", "+"):
+        return 1
+    if text == "-":
+        return -1
+    return int(text)
+
+
+def parse_element(d: int, text: str) -> QuadInt:
+    """Parse element text for the ring of d; raises ElementParseError on bad input."""
+    compact = re.sub(r"\s+", "", text)
+    if not compact:
+        raise ElementParseError("empty element text")
+    if "i" in compact and d != -1:
+        raise ElementParseError(f"'i' is only meaningful for d=-1, not d={d}")
+    m = _HALF.match(compact)
+    if m:
+        try:
+            return QuadInt(d, int(m.group(1)), _coef(m.group(2)), half=True)
+        except ValueError as exc:
+            raise ElementParseError(str(exc)) from None
+    m = _FULL.match(compact)
+    if not m or (m.group(1) is None and m.group(2) is None):
+        raise ElementParseError(f"cannot parse element text {text!r}")
+    a = int(m.group(1)) if m.group(1) is not None else 0
+    b = _coef(m.group(2)) if m.group(2) is not None else 0
+    try:
+        return QuadInt(d, a, b)
+    except ValueError as exc:
+        raise ElementParseError(str(exc)) from None
+
+
 def try_div(z: QuadInt, w: QuadInt) -> QuadInt | None:
     """Exact division in the ring: the q with q*w == z, or None if w does not divide z.
 
@@ -188,12 +241,7 @@ def try_div(z: QuadInt, w: QuadInt) -> QuadInt | None:
     qy, ry = divmod(v, nw)
     if ry:
         return None
-    if z.d % 4 == 1:
-        if (qx ^ qy) & 1:
-            return None
-    elif (qx | qy) & 1:
-        return None
-    return QuadInt._raw(z.d, qx, qy)
+    return QuadInt._raw(z.d, qx, qy) if _is_element(z.d, qx, qy) else None
 
 
 @cache

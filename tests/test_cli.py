@@ -64,13 +64,24 @@ class TestExitCodes:
 
     def test_malformed_checkpoint_is_two(self, tmp_path):
         path = tmp_path / "bad.ckpt"
-        path.write_text("d=-1 n=2 norm_lo=50 norm_h\n")
-        proc = run_cli(
-            "search", "--d", "-1", "--n", "2", "--t", "2", "--bound", "90",
-            "--checkpoint", str(path),
-        )
-        assert proc.returncode == 2
-        assert f"{path}:1" in proc.stderr
+        # A cut line, an empty range, then hits that no scan writes: 5 is not
+        # a hit, -9-3s is not canonical, 9+3s (norm 90) lies outside [1, 50),
+        # and at n = 3 nothing is a hit.
+        for n, line in [
+            ("2", "d=-1 n=2 norm_lo=50 norm_h"),
+            ("2", "d=-1 n=2 norm_lo=60 norm_hi=60 hits="),
+            ("2", "d=-1 n=2 norm_lo=1 norm_hi=101 hits=5:2"),
+            ("2", "d=-1 n=2 norm_lo=1 norm_hi=101 hits=-9-3s:2"),
+            ("2", "d=-1 n=2 norm_lo=1 norm_hi=50 hits=9+3s:2"),
+            ("3", "d=-1 n=3 norm_lo=1 norm_hi=101 hits=9+3s:2"),
+        ]:
+            path.write_text(line + "\n")
+            proc = run_cli(
+                "search", "--d", "-1", "--n", n, "--t", "2", "--bound", "90",
+                "--checkpoint", str(path),
+            )
+            assert proc.returncode == 2, line
+            assert f"{path}:1: malformed checkpoint line" in proc.stderr, line
 
     def test_one_t_checkpoint_is_two(self, tmp_path):
         path = tmp_path / "old.ckpt"

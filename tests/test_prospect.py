@@ -170,9 +170,9 @@ class TestScanCache:
         assert shard_tasks == []
         # A checkpointed call never comes from the cache: it reads its file.
         path = tmp_path / "scan.ckpt"
-        fake = [(QuadInt(-1, 5, 0), 7)]
-        path.write_text(format_checkpoint_line(-1, 2, 1, 201, fake) + "\n")
-        assert direct_scan(-1, 2, 200, checkpoint=str(path)) == fake
+        one_hit = [(QuadInt(-1, 9, 3), 2)]  # a scan would find 3+9s too
+        path.write_text(format_checkpoint_line(-1, 2, 1, 201, one_hit) + "\n")
+        assert direct_scan(-1, 2, 200, checkpoint=str(path)) == one_hit
         assert shard_tasks == []
         path.write_text("")
         assert direct_scan(-1, 2, 200, checkpoint=str(path)) == first

@@ -52,5 +52,5 @@ def test_library_example_prints_its_comments():
     ]
     printed = []
     exec(code, {"print": lambda *args: printed.append(" ".join(map(str, args)))})
-    assert len(expected) == 3
+    assert len(expected) == 4
     assert printed == expected

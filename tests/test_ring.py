@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from quadperfect import (
@@ -21,7 +24,6 @@ class TestRingCtx:
         for d in ALL_DS:
             ctx = ring(d)
             assert ctx.d == d
-            assert ctx.residue_mod_4 == d % 4
 
     @pytest.mark.parametrize("bad", [0, 1, -5, -4, -12, -165, 2, -6])
     def test_rejects_other_d(self, bad):
@@ -45,6 +47,19 @@ class TestConstruction:
     def test_parity_rejected_for_odd_d(self):
         with pytest.raises(ValueError):
             QuadInt(-7, 1, 2, half=True)
+
+    def test_coordinates_are_exact_integers(self):
+        for d, a, b, half in [
+            (-1, 2.7, 0, False), (-7, 1.9, 1.2, True),
+            (-1, Fraction(7, 2), 0, False), (-1, "3", 0, False),
+        ]:
+            with pytest.raises(TypeError):
+                QuadInt(d, a, b, half=half)
+        with pytest.raises(TypeError):
+            QuadInt.from_int(-1, 2.5)
+        z = QuadInt(-7, np.int64(1), np.int32(1), half=True)
+        assert z == QuadInt(-7, 1, 1, half=True) and type(z.x) is int and type(z.y) is int
+        assert type(QuadInt.from_int(-1, np.int64(4)).x) is int
 
     def test_half_elements_exist_for_one_mod_four(self):
         z = QuadInt(-7, 1, 1, half=True)
