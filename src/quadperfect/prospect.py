@@ -11,10 +11,14 @@ and each search keeps its own t.  Scans shard the norm range, run shards
 across processes (capped by the QP_WORKERS environment variable, the CPU
 count and the shard count) from norm bound 10**6 up and in the calling
 process below it, and can checkpoint completed shards, hits of every t
-included, to a newline-delimited file so interrupted scans resume.  The last
-32 uncheckpointed results are cached, keyed on (d, n, bound) and the pool
-size the scan runs with (1 below 10**6, whatever the worker count):
-searches for t = 2 and t = 3 at one (d, n, bound) often follow each other.
+included, to a newline-delimited file so interrupted scans resume.  Each
+shard returns the elements of its candidate norms (scan.scan_shard), and
+direct_scan decides them for its own n (scan.decide).  The last 32
+uncheckpointed scans keep every shard's candidates, keyed on (d, n for even
+n or 1 for every odd n, bound) and the pool size the scan runs with (1
+below 10**6, whatever the worker count): the candidates of odd n do not
+depend on n, and searches for t = 2 and t = 3 at one (d, n, bound) often
+follow each other, so neither rescans.
 
 A shard's numpy arrays take 25 to 78 bytes per norm of its width (all nine
 rings, n = 1..4), so its width sets a worker's memory.  What a shard
@@ -37,7 +41,7 @@ import fcntl
 import math
 import os
 from collections.abc import Iterator
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -229,8 +233,8 @@ def _shards(ranges: list[tuple[int, int]], width: int) -> Iterator[tuple[int, in
             yield cur, min(cur + width, hi)
 
 
-def scan_shard_task(args) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """One shard, args = (d, n, lo, hi): (lo, hi, the hits of scan.scan_shard)."""
+def scan_shard_task(args) -> tuple:
+    """One shard, args = (d, n, lo, hi): (lo, hi, the candidate rows of scan.scan_shard)."""
     from . import scan
 
     d, n, lo, hi = args
@@ -253,17 +257,14 @@ def _keep_freed_arrays() -> None:
     np.empty((32 << 20) - (8 << 10), dtype=np.uint8)  # header and page rounding fit in 32 MB
 
 
-@lru_cache(maxsize=32)
-def _scan(d: int, n: int, bound: int, nworkers: int, checkpoint: str | None) -> tuple:
-    """Drive the shards of one scan on a pool of nworkers, in process for 1;
-    checkpointed shards are read, new ones appended.
+def _run_shards(d: int, n: int, bound: int, nworkers: int, gaps) -> Iterator[tuple]:
+    """(lo, hi, candidate rows) of each shard of the gaps of [1, bound], run
+    on a pool of nworkers, in process for 1.
 
     Shards are laid out as they run, so memory does not grow with the bound.
     """
     from concurrent.futures import ProcessPoolExecutor  # only scans pay for multiprocessing
 
-    done, found = _load_checkpoint(checkpoint, d, n, bound)
-    gaps = _gaps(bound, done)
     # A shard's arrays take 25-78 bytes per norm, so the width is as narrow as
     # the sieve's per-shard loop over its pi(sqrt(hi)) primes allows: it grows
     # with sqrt(bound), from 2**18 at 1e7 to 10**6 from about 1e9 up.
@@ -282,12 +283,13 @@ def _scan(d: int, n: int, bound: int, nworkers: int, checkpoint: str | None) -> 
         # take one batch.
         batches = iter(lambda: list(islice(tasks, 512 * nworkers)), [])
         run = pool.map if pool else map
-        for lo, hi, shard_hits in chain.from_iterable(run(scan_shard_task, b) for b in batches):
-            pairs = [(QuadInt._raw(d, x, y), t) for x, y, t in shard_hits]
-            found.update(pairs)
-            if checkpoint is not None:
-                append_record(checkpoint, format_checkpoint_line(d, n, lo, hi, pairs))
-    return tuple((z, found[z]) for z in _sort_hits(found))
+        yield from chain.from_iterable(run(scan_shard_task, b) for b in batches)
+
+
+@lru_cache(maxsize=32)
+def _scan(d: int, n: int, bound: int, nworkers: int) -> tuple:
+    """Every shard's (lo, hi, candidate rows) of [1, bound] at power n; an odd n is passed as 1."""
+    return tuple(_run_shards(d, n, bound, nworkers, _gaps(bound, [])))
 
 
 def direct_scan(
@@ -300,12 +302,14 @@ def direct_scan(
 ) -> list[tuple[QuadInt, int]]:
     """Every canonical element with norm <= bound and integer n-index t >= 2, with t.
 
-    The (element, t) pairs are ordered by (norm, x, y).  Without a checkpoint
-    the result may come from the cache of recent scans, keyed on the pool size
-    the scan runs with: 1 below _POOL_MIN_BOUND, whatever the worker count,
-    and min(count, CPU count) from it up.  A checkpointed scan always reads
-    and extends its file.  The power n lies in 1..MAX_POWER, as for index_n,
-    and the bound below 2**52, where a shard's prime table stays within 2**26.
+    The (element, t) pairs are ordered by (norm, x, y).  Each shard's
+    candidates are decided here, for this n.  Without a checkpoint they may
+    come from the cache of recent scans, which every odd n shares, keyed on
+    the pool size the scan runs with: 1 below _POOL_MIN_BOUND, whatever the
+    worker count, and min(count, CPU count) from it up.  A checkpointed scan
+    always reads and extends its file.  The power n lies in 1..MAX_POWER, as
+    for index_n, and the bound below 2**52, where a shard's prime table stays
+    within 2**26.
     """
     ring(d)
     if bound < 1:
@@ -320,8 +324,19 @@ def direct_scan(
         raise ValueError(f"scan needs a bound below 2**52 for its prime table; got {bound}")
     count = worker_count(workers)  # checked at every bound
     nworkers = 1 if bound < _POOL_MIN_BOUND else min(count, os.cpu_count() or 1)
-    run = _scan if checkpoint is None else _scan.__wrapped__
-    return list(run(d, n, bound, nworkers, checkpoint))
+    parity_n = 1 if n & 1 else n  # the candidates of odd n do not depend on n
+    if checkpoint is None:
+        found, source = {}, nullcontext(_scan(d, parity_n, bound, nworkers))
+    else:
+        done, found = _load_checkpoint(checkpoint, d, n, bound)
+        source = closing(_run_shards(d, parity_n, bound, nworkers, _gaps(bound, done)))
+    with source as shards:
+        for lo, hi, rows in shards:
+            pairs = [(QuadInt._raw(d, x, y), t) for x, y, t in scan.decide(d, n, rows)]
+            found.update(pairs)
+            if checkpoint is not None:
+                append_record(checkpoint, format_checkpoint_line(d, n, lo, hi, pairs))
+    return [(z, found[z]) for z in _sort_hits(found)]
 
 
 def search_t_perfect(

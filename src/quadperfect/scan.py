@@ -11,8 +11,8 @@ the interval is produced exactly once.  np.bincount over the norms gives the
 distinct norms and their element counts.  A segmented sieve accumulates what
 the filter reads for every integer of the interval.  Then a numpy filter
 keeps the few distinct norms that may hold an integer index, the exact
-arithmetic decides those, and three audits abort the scan when an invariant
-fails.
+arithmetic of decide decides those, and three audits abort the scan when an
+invariant fails.
 
 The index is I_n(z) = prod over pi**a exactly dividing z of
 sum(|pi|**(-j*n), j = 0..a); write geom(q, k) = 1 + q + ... + q**k and
@@ -64,6 +64,14 @@ float test once more.  The filter returns the candidate norms.
   the exponents; the product is taken mod N**(n/2) in int64 when n = 2 and
   N < 2**31, so no product of two residues leaves int64, and in Python
   integers otherwise.
+- Prime above the sieve, n = 2.  Such a prime P has exponent 1 and is split
+  or ramified (an inert one fails the odd-exponent audit), so its M is
+  1 + P, prime to P.  N | prod(M_q) then needs P to divide one geom factor
+  of the M of another prime p of N, of exponent e.  At n = 2 that factor is
+  geom(p, k) with k <= e, or geom(p*p, e/2) for an inert p, so it is below
+  2*p**e <= 2*N/P.  So N can pass only when P*P < 2*N, that is
+  P <= (2*N - 1) // P, exact in int64: the filter drops the float test's
+  survivors that fail it before the trial division.
 
 Why tau = 1e-9 is safe.  Let u = 2**-53 and grant pow (Python's and numpy's)
 4 ulp.  Each x = p**-m (m = n or n/2, so x <= 2**-m <= 1/2) then carries a
@@ -79,27 +87,39 @@ N < 2**63.  So an element with integer index t >= 2, whose norm has exact
 R >= t, leaves the float R at least 2*(1 - tau): the float test never drops
 it, and the divisibility test is exact.
 
-Decide, in plain integers through the library.  An odd-n candidate is m*m
-with every prime of m inert, and I_n = classical_sigma(m, n) / m**n.  For
-even n, factor_integer and _classify give N's primes and classes; the exact
-chains (abundancy._chain) give one value prod(chains) / N**(n/2) per choice
-of a profile a for each split p.  When some value is an integer t >= 2,
+Candidates.  scan_shard ends at the filter: it returns one row (N, x, y)
+per element of each candidate norm, as one int64 array, so a cache of many
+shards stays small.  An odd-n candidate m*m has one element, m itself:
+every prime of m is inert, and the count audit has just shown that the norm
+holds one element.  So the candidates of odd n do not depend on n, and one
+scan serves every odd power.  An even-n candidate's elements are those the
+enumeration gave that norm.
+
+Decide, in plain integers through the library.  The caller runs decide on
+each shard's rows for its own n.  An odd-n candidate is m*m with every prime
+of m inert, and I_n = classical_sigma(m, n) / m**n.  For even n,
+factor_integer and _classify give N's primes and classes; the exact chains
+(abundancy._chain) give one value prod(chains) / N**(n/2) per choice of a
+profile a for each split p.  When some value is an integer t >= 2,
 abundancy.index_n decides every element of the norm.
 
 Audits.  Three checks abort the scan: an inert prime with an odd norm
 exponent, an element count per norm other than the product of (split
 exponent + 1), and exact integer indices at a flagged norm other than the
 flagged values (every choice of a is held by some element).  The first two
-run vectorized over every distinct norm of the shard.  index_n reads each
-element's profile a from its content, and the flagged values range over every
-a, so the third checks the content valuation against the combinatorics of
-the profiles; both sides build their chains with abundancy._chain.
+run vectorized over every distinct norm of the shard, the third in decide.
+index_n reads each element's profile a from its content, and the flagged
+values range over every a, so the third checks the content valuation
+against the combinatorics of the profiles; both sides build their chains
+with abundancy._chain.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -205,7 +225,7 @@ def _coords(d: int, lo: int, hi: int):
 def _norm_counts(ns: np.ndarray, lo: int, hi: int):
     """The distinct norms of ns, all in [lo, hi), increasing, and how often each occurs."""
     counts = np.bincount(ns - lo, minlength=hi - lo)
-    rows = np.flatnonzero(counts)
+    rows = np.flatnonzero(counts != 0)
     return rows + lo, counts[rows]
 
 
@@ -384,6 +404,9 @@ def _filter(d: int, n: int, lo: int, hi: int, uniq: np.ndarray, counts: np.ndarr
     with np.errstate(under="ignore"):
         R[left] *= 1.0 + big[left].astype(np.float64) ** -(n >> 1)
     cand = np.flatnonzero(R >= 2 * (1 - _TAU))
+    if n == 2:  # a prime P above the sieve needs P*P < 2*N (Filter, above); big = 1 passes
+        P = big[cand]
+        cand = cand[P <= (2 * uniq[cand] - 1) // P]
     # The survivors' factors: trial division of their sieve parts, then the
     # prime above the sieve.
     i, p, e = _trial_divide(acc[cand], sv.primes)
@@ -397,23 +420,35 @@ def _filter(d: int, n: int, lo: int, hi: int, uniq: np.ndarray, counts: np.ndarr
     return norms[_profiles_divide(n, norms, i, p, e, _classify_primes(d, p))]
 
 
-def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """Elements with norm in [lo, hi) whose n-index is an integer t >= 2.
+def scan_shard(d: int, n: int, lo: int, hi: int) -> np.ndarray:
+    """The elements of the candidate norms of [lo, hi) at power n, for decide.
 
-    Returns (x, y, t) triples in doubled coordinates, ordered by norm.
+    Returns an int64 array of rows (N, x, y), in doubled coordinates, ordered
+    by N and then as enumerated.  An odd-n candidate m*m has one element, m
+    itself (Candidates, above), so the rows of odd n depend on n only through
+    its parity.
     """
     if not 1 <= n <= MAX_POWER:
         raise ValueError(f"scan expects a power n in 1..{MAX_POWER}; got n = {n}")
     if hi > _HI_MAX:
         raise ValueError(f"scan needs hi <= 2**52 for its prime table; got hi = {hi}")
-    ctx = ring(d)
     xs, ys, ns = _coords(d, lo, hi)
     if ns.size == 0:
-        return []
+        return np.empty((0, 3), dtype=np.int64)
     uniq, counts = _norm_counts(ns, lo, hi)
-    hits: list[tuple[int, int, int]] = []
+    norms = _filter(d, n, lo, hi, uniq, counts)
+    if n & 1:
+        return np.stack((norms, 2 * _isqrt(norms), np.zeros_like(norms)), axis=1)
+    k = np.flatnonzero(np.isin(ns, norms))
+    k = k[np.argsort(ns[k], kind="stable")]
+    return np.stack((ns[k], xs[k], ys[k]), axis=1)
 
-    for N in _filter(d, n, lo, hi, uniq, counts).tolist():
+
+def decide(d: int, n: int, rows) -> list[tuple[int, int, int]]:
+    """The (x, y, t) of the rows (N, x, y) of scan_shard whose n-index is an
+    integer t >= 2, in the order of the rows (Decide, above)."""
+    hits = []
+    for N, norm_rows in groupby(rows.tolist(), key=itemgetter(0)):
         if n & 1:  # every prime of N is inert, of even exponent: N = m*m
             m = math.isqrt(N)
             values, denom = [classical_sigma(m, n)], m**n
@@ -435,17 +470,16 @@ def scan_shard(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
 
         # Rare path: each element's exact index, read from its content, decides it.
         exact = set()
-        for k in np.nonzero(ns == N)[0].tolist():
-            z = QuadInt._raw(d, int(xs[k]), int(ys[k]))
-            v = index_n(ctx, z, n).value
+        for _, x, y in norm_rows:
+            z = QuadInt._raw(d, x, y)
+            v = index_n(ring(d), z, n).value
             if v.is_rational() and v.as_fraction().denominator == 1:
                 t = int(v.as_fraction())
                 exact.add(t)
-                hits.append((z.x, z.y, t))
+                hits.append((x, y, t))
         if exact != want:
             raise InternalInconsistency(
                 f"norm {N} (d={d}): scan flagged I_{n} in {sorted(want)}, "
                 f"exact index gives {sorted(exact)}"
             )
     return hits
-

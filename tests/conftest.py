@@ -4,6 +4,7 @@ import os
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quadperfect import UFD_DS, QuadInt, prospect, ring
@@ -31,8 +32,8 @@ def laid_out(monkeypatch):
 
     The pool is an in-process stand-in that records its size and maps in
     process, so no process starts, whatever the requested count; each shard
-    task records its (d, n, lo, hi) and returns no hits.  Yields (sizes,
-    tasks), on an empty scan cache.
+    task records its (d, n, lo, hi) and returns no candidate rows.  Yields
+    (sizes, tasks), on an empty scan cache.
     """
     sizes, tasks = [], []
 
@@ -51,7 +52,7 @@ def laid_out(monkeypatch):
 
     def empty_shard(task):
         tasks.append(task)
-        return task[2], task[3], []
+        return task[2], task[3], np.empty((0, 3), dtype=np.int64)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Serial)
     monkeypatch.setattr(prospect, "scan_shard_task", empty_shard)

@@ -146,11 +146,9 @@ class TestSearchPowerfully:
                 search_powerfully(ring(-1), n, 2, 100)
         assert shard_tasks == []
 
-    def test_n_three_hit_of_any_t_raises(self, shard_tasks, monkeypatch):
+    def test_n_three_hit_of_any_t_raises(self, monkeypatch):
         # A t=5 hit at n=3 is impossible, whichever t the search asked for.
-        monkeypatch.setattr(
-            prospect, "scan_shard_task", lambda task: (task[2], task[3], [(10, 0, 5)])
-        )
+        monkeypatch.setattr(prospect, "direct_scan", lambda d, *a, **k: [(QuadInt(d, 5, 0), 5)])
         with pytest.raises(InternalInconsistency, match=r"n=3.*t in \[5\]"):
             search_powerfully(ring(-1), 3, 2, 100)
 
@@ -177,6 +175,23 @@ class TestScanCache:
         path.write_text("")
         assert direct_scan(-1, 2, 200, checkpoint=str(path)) == first
         assert shard_tasks
+
+    def test_odd_powers_share_one_scan(self, shard_tasks):
+        bound = 10**4
+        one = direct_scan(-11, 1, bound)
+        assert shard_tasks and one == [(QuadInt.from_int(-11, 28), 2)]
+        shard_tasks.clear()
+        # n = 3 and n = 5 decide the candidates of the n = 1 scan for their own n.
+        assert direct_scan(-11, 3, bound) == direct_scan(-11, 5, bound) == []
+        assert shard_tasks == []
+        # Each even n scans under its own key.
+        two = direct_scan(-11, 2, bound)
+        assert [task[1] for task in shard_tasks] == [2] and {t for _, t in two} == {2}
+        four = direct_scan(-11, 4, bound)
+        assert [task[1] for task in shard_tasks] == [2, 4]
+        for n, got in ((1, one), (2, two), (3, []), (4, four), (5, [])):
+            prospect._scan.cache_clear()
+            assert direct_scan(-11, n, bound) == got, n
 
     def test_worker_count_is_not_part_of_the_key(self, shard_tasks):
         first = direct_scan(-1, 2, 200_000, workers=1)
@@ -393,14 +408,9 @@ class TestCheckpoint:
         path = str(tmp_path / "scan.ckpt")
         full = direct_scan(-1, 2, 4000)
         # Simulate an interrupted run: only the lower half was completed.
-        from quadperfect.scan import scan_shard
-
-        partial = scan_shard(-1, 2, 1, 2000)
+        partial = [(z, t) for z, t in full if z.norm() < 2000]
         with open(path, "w") as fh:
-            line = format_checkpoint_line(
-                -1, 2, 1, 2000, [(QuadInt(-1, x, y, half=True), t) for x, y, t in partial]
-            )
-            fh.write(line + "\n")
+            fh.write(format_checkpoint_line(-1, 2, 1, 2000, partial) + "\n")
         resumed = direct_scan(-1, 2, 4000, checkpoint=path)
         assert resumed == full
         # The file gained records covering the remaining range.

@@ -26,6 +26,11 @@ from oracles import (
 SMALL_BOUND = 400
 
 
+def shard_hits(d: int, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """The (x, y, t) hits of [lo, hi): decide run over scan_shard's candidates."""
+    return scan.decide(d, n, scan_shard(d, n, lo, hi))
+
+
 class TestCoords:
     def test_matches_literal_enumeration(self, d):
         expected = sorted((z.x, z.y) for z in canonical_elements_up_to(d, SMALL_BOUND))
@@ -222,7 +227,7 @@ class TestClassifyPrimes:
     @pytest.mark.parametrize("d", [-1, -163])
     @pytest.mark.parametrize("n", [1, 2])
     def test_shard_across_the_int64_bound(self, d, n):
-        assert scan_shard(d, n, 3_037_000_000, 3_037_004_000) == []
+        assert shard_hits(d, n, 3_037_000_000, 3_037_004_000) == []
 
 
 FILTER_WINDOWS = ((1, 20_001), (99_990_000, 100_000_000))
@@ -297,6 +302,34 @@ class TestFilter:
         got = scan._profiles_divide(n, np.array(norms, dtype=np.int64), i, p, e, code)
         assert got.tolist() == [profiles_divide(d, n, f) for f in fac]
 
+    def test_n2_prune_shrinks_the_trial_division_only(self, monkeypatch):
+        """On a window of a ring-sweep scan (d = -7 near 5e5), the prime above
+        the sieve drops most float survivors before the trial division, and the
+        kept norms are those of the float test and the divisibility test alone."""
+        d, lo, hi = -7, 375_001, 500_001
+        uniq, counts = scan._norm_counts(_coords(d, lo, hi)[2], lo, hi)
+        trial = scan._trial_divide
+        handed = []
+        monkeypatch.setattr(
+            scan, "_trial_divide", lambda rem, primes: handed.append(rem.size) or trial(rem, primes)
+        )
+        kept = scan._filter(d, 2, lo, hi, uniq, counts)
+        # Without the prune: the float survivors, factored and tested for divisibility.
+        sv = _factor_segment(d, 2, lo, hi)
+        acc = sv.acc[uniq - lo]
+        big = uniq // acc
+        R = sv.R[uniq - lo] * np.where(big > 1, 1 + 1 / big, 1)
+        cand = np.flatnonzero(R >= 2 * (1 - scan._TAU))
+        i, p, e = trial(acc[cand], sv.primes)
+        above = np.flatnonzero(big[cand] > 1)
+        i, p, e = np.r_[i, above], np.r_[p, big[cand[above]]], np.r_[e, np.ones_like(above)]
+        order = np.argsort(i, kind="stable")
+        i, p, e = i[order], p[order], e[order]
+        norms = uniq[cand]
+        divides = scan._profiles_divide(2, norms, i, p, e, scan._classify_primes(d, p))
+        assert kept.tolist() == norms[divides].tolist() != []
+        assert handed == [handed[0]] and handed[0] < cand.size / 2
+
     def test_few_n2_norms_survive(self):
         lo, hi = 1, 10**5
         uniq, counts = np.unique(_coords(-7, lo, hi)[2], return_counts=True)
@@ -326,20 +359,28 @@ class TestScanShard:
                         fr = v.as_fraction()
                         if fr.denominator == 1 and fr >= 2:
                             expected.append((z.x, z.y, int(fr)))
-                got = scan_shard(d, n, lo, hi)
+                got = shard_hits(d, n, lo, hi)
                 assert sorted(got) == sorted(expected), f"[{lo}, {hi}) n={n}"
 
     def test_shard_splitting_invariance(self, d):
         rng = make_rng("shardsplit", d)
-        whole = sorted(scan_shard(d, 2, 1, SMALL_BOUND + 1))
+        whole = sorted(shard_hits(d, 2, 1, SMALL_BOUND + 1))
         cut = rng.randint(2, SMALL_BOUND)
-        parts = sorted(
-            scan_shard(d, 2, 1, cut) + scan_shard(d, 2, cut, SMALL_BOUND + 1)
-        )
+        parts = sorted(shard_hits(d, 2, 1, cut) + shard_hits(d, 2, cut, SMALL_BOUND + 1))
         assert parts == whole
 
+    def test_prime_above_the_sieve_at_the_bound_edge(self):
+        # [1, 40) sieves 2, 3 and 5, so P = 7 of norm 28 lies above the sieve,
+        # and 7*7 = 49 < 2*28 keeps it: (-7+3s)/2 and (7+3s)/2 have I_2 = 2.
+        assert scan._factor_segment(-7, 2, 1, 40).primes == [2, 3, 5]
+        assert shard_hits(-7, 2, 1, 40) == [(7, 3, 2), (-7, 3, 2)]
+
+    def test_odd_candidate_is_the_integer_itself(self):
+        # 28*28 at d = -11: the one element of the norm, with no search.
+        assert scan_shard(-11, 3, 780, 790).tolist() == [[784, 56, 0]]
+
     def test_known_hit(self):
-        hits = scan_shard(-1, 2, 1, 91)
+        hits = shard_hits(-1, 2, 1, 91)
         assert (18, 6, 2) in hits  # 9+3i
 
     def test_rejects_bad_n(self):
@@ -389,7 +430,7 @@ class TestScanShard:
         # norm 25: (2+i)^2 [norm 25, I_2 = 31/25], (2+i)(2-i)=5 [I_2 = 36/25],
         # neither an integer, but both profiles must be distinguished at n=2
         # for elements like (1+i)(2+i)^2 where integers can arise.
-        hits = scan_shard(-1, 2, 1, 2001)
+        hits = shard_hits(-1, 2, 1, 2001)
         for x, y, t in hits:
             z = QuadInt(-1, x, y, half=True)
             v = index_n(ctx, z, 2).value
@@ -404,7 +445,7 @@ class TestScanShard:
             return index_n(ctx, z, n)
 
         monkeypatch.setattr(scan, "index_n", three_at_56)
-        hits = scan_shard(-7, 2, 50, 60)
+        hits = shard_hits(-7, 2, 50, 60)
         assert len(hits) == 4
         assert all(QuadInt(-7, x, y, half=True).norm() == 56 and t == 3 for x, y, t in hits)
 
@@ -418,7 +459,7 @@ class TestScanChecks:
 
         monkeypatch.setattr(scan, "index_n", wrong)
         with pytest.raises(InternalInconsistency, match="exact index"):
-            scan_shard(-1, 2, 1, 91)
+            shard_hits(-1, 2, 1, 91)
 
     def test_inert_prime_with_odd_exponent_raises(self, monkeypatch):
         # 5 splits in the Gaussian ring; calling it inert makes norm 5 impossible.
@@ -427,7 +468,7 @@ class TestScanChecks:
             scan, "_classify_primes", lambda d, ps: np.where(ps == 5, scan._INERT, real(d, ps))
         )
         with pytest.raises(InternalInconsistency, match="odd exponent"):
-            scan_shard(-1, 1, 1, 10)
+            shard_hits(-1, 1, 1, 10)
 
     def test_element_count_mismatch_raises(self, monkeypatch):
         # 3 is inert in the Gaussian ring: norm 9 has one element, not three.
@@ -436,4 +477,4 @@ class TestScanChecks:
             scan, "_classify_primes", lambda d, ps: np.where(ps == 3, scan._SPLIT, real(d, ps))
         )
         with pytest.raises(InternalInconsistency, match="predicted"):
-            scan_shard(-1, 2, 1, 10)
+            shard_hits(-1, 2, 1, 10)
